@@ -80,24 +80,24 @@ fn bench_fragment_cap(c: &mut Criterion) {
 
 fn bench_parallel(c: &mut Criterion) {
     // The paper's companion work [33] reports shared-memory speedups for
-    // exactly this workload; seed-level partitioning scales until subtree
-    // sizes skew.
-    let graphs = graphs_for("sha");
-    let config = Config {
-        min_support: 2,
-        support: Support::Embeddings,
-        max_nodes: 8,
-        max_patterns: 30_000,
-        ..Config::default()
-    };
+    // exactly this workload; one detection round of the seed-task engine
+    // claims seeds dynamically, so it scales until one seed's subtree
+    // dominates the round.
+    let program = gpa_cfg::decode_image(&compile("sha", true)).expect("benchmark lifts");
     let mut group = c.benchmark_group("mining_parallel");
     group.sample_size(10);
     for threads in [1usize, 2, 4] {
+        let config = gpa::graph_detect::GraphConfig {
+            max_nodes: 8,
+            max_patterns: 30_000,
+            threads,
+            ..gpa::graph_detect::GraphConfig::default()
+        };
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| gpa_mining::miner::mine_parallel(&graphs, &config, threads));
+            &config,
+            |b, config| {
+                b.iter(|| gpa::graph_detect::best_candidate(&program, config));
             },
         );
     }

@@ -80,12 +80,11 @@ pub fn decode_image(image: &Image) -> Result<Program, DecodeImageError> {
 /// `jobs` worker threads.
 ///
 /// Functions decode independently — each one reads only the image and
-/// the shared entry map — so the fan-out is a plain bounded pool over
-/// the address-sorted function list with results merged back in that
-/// order. The outcome is bit-identical to the sequential lift at any
-/// job count, including failures: when several functions are
-/// undecodable, the error reported is the one the sequential sweep
-/// would have hit first.
+/// the shared entry map — so the fan-out is a plain
+/// [`gpa_image::pool::map`] over the address-sorted function list. The
+/// outcome is bit-identical at any job count, including failures: when
+/// several functions are undecodable, the error reported is the one for
+/// the lowest address.
 ///
 /// # Errors
 ///
@@ -104,44 +103,11 @@ pub fn decode_image_with(image: &Image, jobs: usize) -> Result<Program, DecodeIm
     let entry_by_addr: HashMap<u32, &str> =
         fn_syms.iter().map(|s| (s.addr, s.name.as_str())).collect();
 
-    let jobs = jobs.max(1).min(fn_syms.len());
-    let functions = if jobs <= 1 {
-        let mut functions = Vec::with_capacity(fn_syms.len());
-        for (i, sym) in fn_syms.iter().enumerate() {
-            functions.push(decode_function(image, &fn_syms, i, sym, &entry_by_addr)?);
-        }
-        functions
-    } else {
-        // Bounded pool: workers claim function indices from a shared
-        // counter and park results in per-function slots, so the merge
-        // below reassembles the sequential order (and error priority)
-        // regardless of scheduling.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<FunctionCode, DecodeImageError>>>> =
-            fn_syms.iter().map(|_| Mutex::new(None)).collect();
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(sym) = fn_syms.get(i) else { return };
-            let decoded = decode_function(image, &fn_syms, i, sym, &entry_by_addr);
-            *slots[i].lock().expect("decode slot poisoned") = Some(decoded);
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-        let mut functions = Vec::with_capacity(fn_syms.len());
-        for slot in slots {
-            let decoded = slot
-                .into_inner()
-                .expect("decode slot poisoned")
-                .expect("every claimed index leaves a result");
-            functions.push(decoded?);
-        }
-        functions
-    };
+    let functions = gpa_image::pool::map(fn_syms.len(), jobs, |i| {
+        decode_function(image, &fn_syms, i, &entry_by_addr)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     let entry = entry_by_addr
         .get(&image.entry())
@@ -169,9 +135,9 @@ fn decode_function(
     image: &Image,
     fn_syms: &[&gpa_image::Symbol],
     i: usize,
-    sym: &gpa_image::Symbol,
     entry_by_addr: &HashMap<u32, &str>,
 ) -> Result<FunctionCode, DecodeImageError> {
+    let sym = fn_syms[i];
     {
         let start = sym.addr;
         let next = fn_syms

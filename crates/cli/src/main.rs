@@ -13,9 +13,9 @@
 //! gpa top --addr <addr> [--interval-ms N] [--iterations N]   live serve dashboard
 //! gpa lint <image> [--json]                           static binary lints
 //! gpa absint <image>                                  abstract-interpretation dump
-//! gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] [--jobs N] [--incremental] [--trace out.jsonl] [--report-json out.json]
+//! gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] [--validate off|final|every-round] [--alias off|stack] [--jobs N] [--trace out.jsonl] [--report-json out.json]
 //! gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace-dir D] [--method sfx|dgspan|edgar] [--validate] [--incremental] [--report out.json]
-//! gpa serve --listen <addr> [--workers N] [--queue-depth N] [--method M] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--no-incremental] [--trace out.jsonl]
+//! gpa serve --listen <addr> [--workers N] [--queue-depth N] [--method M] [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--trace out.jsonl]
 //! gpa submit <image> --addr <addr> [--knobs JSON] [--report-only]
 //! gpa perf [-o bench.json] [--methods a,b] [--kernels a,b] [--jobs N] [--no-sched] [--validate L] [--alias off|stack] [--profile] [--baseline FILE] [--tolerance-pct N] [--compare FILE]
 //! gpa incr-bench --kernel <name> [--edits N] [--seed S] [--iters N] [--jobs N] [-o out.json]
@@ -118,13 +118,13 @@ fn print_usage() {
          gpa absint <image>\n  \
          gpa optimize <image> -o <out.img> [--method sfx|dgspan|edgar] \
          [--validate off|final|every-round] [--alias off|stack] [--jobs N] \
-         [--incremental] [--trace out.jsonl] [--report-json out.json]\n  \
+         [--trace out.jsonl] [--report-json out.json]\n  \
          gpa batch <dir|files...> [--jobs N] [--cache-dir D] [--cache-entries N] \
          [--cache-bytes N] [--trace-dir D] \
          [--method sfx|dgspan|edgar] [--validate] [--incremental] [--report out.json]\n  \
          gpa serve --listen <addr> [--workers N] [--queue-depth N] \
          [--method sfx|dgspan|edgar] [--validate off|final|every-round] \
-         [--cache-dir D] [--cache-entries N] [--cache-bytes N] [--no-incremental] \
+         [--cache-dir D] [--cache-entries N] [--cache-bytes N] \
          [--trace out.jsonl]\n  \
          gpa submit <image> --addr <addr> [--knobs JSON] [--report-only]\n  \
          gpa perf [-o bench.json] [--methods a,b] [--kernels a,b] [--jobs N] \
@@ -685,35 +685,9 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
     let mut iter = rest.iter();
     while let Some(a) = iter.next() {
         match a.as_str() {
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                method = match m.as_str() {
-                    "sfx" => Method::Sfx,
-                    "dgspan" => Method::DgSpan,
-                    "edgar" => Method::Edgar,
-                    other => return Err(format!("unknown method `{other}`")),
-                };
-            }
-            "--validate" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--validate requires a value".to_owned())?;
-                config.validate = match v.as_str() {
-                    "off" => ValidateLevel::Off,
-                    "final" => ValidateLevel::Final,
-                    "every-round" => ValidateLevel::EveryRound,
-                    other => return Err(format!("unknown validate level `{other}`")),
-                };
-            }
-            "--alias" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--alias requires a value".to_owned())?;
-                config.alias =
-                    AliasLevel::parse(v).ok_or_else(|| format!("unknown alias level `{v}`"))?;
-            }
+            "--method" => method = take_method(&mut iter)?,
+            "--validate" => config.validate = take_validate(&mut iter)?,
+            "--alias" => config.alias = take_alias(&mut iter)?,
             "--jobs" => {
                 // One knob drives both thread pools: the front-end
                 // (decode + per-block DFG build) and the mining lattice
@@ -721,13 +695,6 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
                 let jobs = take_jobs(&mut iter)?;
                 config.mining_threads = jobs;
                 config.front_threads = jobs;
-            }
-            "--incremental" => {
-                // Within one run the cache pays off across *rounds*:
-                // seeds hosted only by functions the previous round did
-                // not rewrite replay their mining decision instead of
-                // re-searching.
-                config.incremental = Some(Arc::new(gpa_pipeline::FuncCache::default()));
             }
             "--trace" => {
                 let p = iter
@@ -794,10 +761,31 @@ fn optimize(args: &[String]) -> Result<ExitCode, String> {
 
 /// Parses the value of a `--jobs` flag (`0` means auto-detect).
 fn take_jobs<'a>(iter: &mut impl Iterator<Item = &'a String>) -> Result<usize, String> {
-    iter.next()
-        .ok_or_else(|| "--jobs requires a number".to_owned())?
-        .parse()
-        .map_err(|_| "--jobs requires a number".to_owned())
+    take_count(iter, "--jobs")
+}
+
+/// Parses the value of a `--method` flag.
+fn take_method<'a>(iter: &mut impl Iterator<Item = &'a String>) -> Result<Method, String> {
+    let m = iter
+        .next()
+        .ok_or_else(|| "--method requires a value".to_owned())?;
+    Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))
+}
+
+/// Parses the value of a `--validate` flag.
+fn take_validate<'a>(iter: &mut impl Iterator<Item = &'a String>) -> Result<ValidateLevel, String> {
+    let v = iter
+        .next()
+        .ok_or_else(|| "--validate requires a value".to_owned())?;
+    ValidateLevel::parse(v).ok_or_else(|| format!("unknown validate level `{v}`"))
+}
+
+/// Parses the value of an `--alias` flag.
+fn take_alias<'a>(iter: &mut impl Iterator<Item = &'a String>) -> Result<AliasLevel, String> {
+    let v = iter
+        .next()
+        .ok_or_else(|| "--alias requires a value".to_owned())?;
+    AliasLevel::parse(v).ok_or_else(|| format!("unknown alias level `{v}`"))
 }
 
 /// `gpa batch`: optimize a whole corpus on a worker pool with the
@@ -835,12 +823,7 @@ fn batch_run(args: &[String]) -> Result<ExitCode, String> {
                     .ok_or_else(|| "--trace-dir requires a path".to_owned())?;
                 config.trace_dir = Some(dir.into());
             }
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                config.method = Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))?;
-            }
+            "--method" => config.method = take_method(&mut iter)?,
             "--validate" => config.run.validate = ValidateLevel::Final,
             "--incremental" => {
                 config.incremental = Some(Arc::new(gpa_pipeline::FuncCache::default()));
@@ -958,23 +941,8 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                     return Err("--queue-depth must be at least 1".to_owned());
                 }
             }
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                config.method = Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))?;
-            }
-            "--validate" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--validate requires a value".to_owned())?;
-                config.run.validate = match v.as_str() {
-                    "off" => ValidateLevel::Off,
-                    "final" => ValidateLevel::Final,
-                    "every-round" => ValidateLevel::EveryRound,
-                    other => return Err(format!("unknown validate level `{other}`")),
-                };
-            }
+            "--method" => config.method = take_method(&mut iter)?,
+            "--validate" => config.run.validate = take_validate(&mut iter)?,
             "--cache-dir" => {
                 let dir = iter
                     .next()
@@ -983,7 +951,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
             }
             "--cache-entries" => cache_entries = Some(take_count(&mut iter, "--cache-entries")?),
             "--cache-bytes" => cache_bytes = Some(take_count(&mut iter, "--cache-bytes")? as u64),
-            "--no-incremental" => config.incremental = false,
             "--trace" => {
                 let p = iter
                     .next()
@@ -1035,16 +1002,15 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         summary.dfg_cache.0 + summary.dfg_cache.1,
         summary.dfg_cache.2
     );
-    if let Some(fc) = &summary.func_cache {
-        eprintln!(
-            "cache: funcs {}/{} hit ({}%), {} entries, {} evicted",
-            fc.hits,
-            fc.hits + fc.misses,
-            fc.hit_rate_pct(),
-            fc.entries,
-            fc.evicted
-        );
-    }
+    let fc = &summary.func_cache;
+    eprintln!(
+        "cache: funcs {}/{} hit ({}%), {} entries, {} evicted",
+        fc.hits,
+        fc.hits + fc.misses,
+        fc.hit_rate_pct(),
+        fc.entries,
+        fc.evicted
+    );
     eprintln!(
         "latency (us): queue p50 {} p90 {} p99 {} | run p50 {} p90 {} p99 {} | \
          e2e p50 {} p90 {} p99 {}",
@@ -1167,24 +1133,8 @@ fn perf(args: &[String]) -> Result<ExitCode, String> {
             }
             "--jobs" => config.jobs = take_jobs(&mut iter)?,
             "--no-sched" => config.schedule = false,
-            "--validate" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--validate requires a value".to_owned())?;
-                config.validate = match v.as_str() {
-                    "off" => ValidateLevel::Off,
-                    "final" => ValidateLevel::Final,
-                    "every-round" => ValidateLevel::EveryRound,
-                    other => return Err(format!("unknown validate level `{other}`")),
-                };
-            }
-            "--alias" => {
-                let v = iter
-                    .next()
-                    .ok_or_else(|| "--alias requires a value".to_owned())?;
-                config.alias =
-                    AliasLevel::parse(v).ok_or_else(|| format!("unknown alias level `{v}`"))?;
-            }
+            "--validate" => config.validate = take_validate(&mut iter)?,
+            "--alias" => config.alias = take_alias(&mut iter)?,
             "--profile" => config.profile = true,
             "--baseline" => {
                 let p = iter
@@ -1307,12 +1257,7 @@ fn incr_bench(args: &[String]) -> Result<ExitCode, String> {
             "--seed" => seed = take_count(&mut iter, "--seed")? as u64,
             "--iters" => iters = take_count(&mut iter, "--iters")?.max(1),
             "--jobs" => jobs = take_jobs(&mut iter)?,
-            "--method" => {
-                let m = iter
-                    .next()
-                    .ok_or_else(|| "--method requires a value".to_owned())?;
-                method = Method::parse(m).ok_or_else(|| format!("unknown method `{m}`"))?;
-            }
+            "--method" => method = take_method(&mut iter)?,
             "-o" => {
                 let p = iter.next().ok_or_else(|| "-o requires a path".to_owned())?;
                 output = Some(p.clone());
@@ -1473,13 +1418,14 @@ impl TraceIssue {
 /// For each file: every line must parse as JSON, the first line must be
 /// the schema header, the last the counter summary; every event name's
 /// line count must equal its recorded counter; and the counter
-/// identities (`visited == expanded + subtree_skipped + stopped_max_nodes`,
-/// `canon_checks == canon_cache_hit + canon_cache_miss`, and
+/// identities (`visited == expanded + subtree_skipped +
+/// stopped_max_nodes + patterns_replayed`, `canon_checks ==
+/// canon_cache_hit + canon_cache_miss`, and
 /// `absint.mem_pairs_examined == mem_pairs_disjoint + mem_pairs_kept`)
 /// must hold. Traces written by `gpa serve` must additionally balance
 /// the request-accounting identity `serve.accepted == serve.completed +
 /// serve.shed + serve.deadline_exceeded + serve.in_flight_at_drain`
-/// (exit `5`), and incremental runs must balance the function-accounting
+/// (exit `5`), and graph-method runs must balance the function-accounting
 /// identity `incr.funcs == incr.func_hit + incr.func_miss` (exit `6`).
 /// Diagnostics name the first offending line; the exit code
 /// is the most severe class seen across all files (see the module docs).
@@ -1559,11 +1505,12 @@ fn check_one_trace(path: &str) -> Result<(), TraceIssue> {
     let visited = counter("mine.patterns_visited");
     let accounted = counter("mine.expanded")
         + counter("mine.subtree_skipped")
-        + counter("mine.stopped_max_nodes");
+        + counter("mine.stopped_max_nodes")
+        + counter("mine.patterns_replayed");
     if visited != accounted {
         return Err(TraceIssue::Invariant(format!(
-            "{path}:{summary_line}: mine.patterns_visited is {visited}, \
-             but expanded + subtree_skipped + stopped_max_nodes is {accounted}"
+            "{path}:{summary_line}: mine.patterns_visited is {visited}, but expanded + \
+             subtree_skipped + stopped_max_nodes + patterns_replayed is {accounted}"
         )));
     }
     let canon_checks = counter("mine.canon_checks");
@@ -1596,10 +1543,10 @@ fn check_one_trace(path: &str) -> Result<(), TraceIssue> {
              is {serve_accounted}"
         )));
     }
-    // The incremental function-accounting identity: every function in a
-    // replayed round is either a hit (all its seeds cached) or a miss.
-    // Non-incremental traces have no `incr.*` counters, so both sides
-    // are zero there.
+    // The seed-memo function-accounting identity: every function in a
+    // memoized round is either a hit (all its seeds replayed) or a miss.
+    // Traces without memoized rounds (SFX, `--alias stack`) have no
+    // `incr.*` counters, so both sides are zero there.
     let incr_funcs = counter("incr.funcs");
     let incr_accounted = counter("incr.func_hit") + counter("incr.func_miss");
     if incr_funcs != incr_accounted {

@@ -215,8 +215,8 @@ impl DfgCache {
 /// [`RunConfig`], the knobs that shape the search (`max_rounds`,
 /// `max_fragment_nodes`, `alias`) and the validation level (a failed
 /// validation yields an error, not a report) are included;
-/// `mining_threads` and `front_threads` are not, because partitioned
-/// detection merges to the single-threaded result and the parallel
+/// `mining_threads` and `front_threads` are not, because the seed-task
+/// search merges in seed order at any thread count and the parallel
 /// front-end builds the same graphs in input order.
 pub fn image_cache_key(image: &Image, method: Method, config: &RunConfig) -> u128 {
     let mut h = Fnv128::new();

@@ -1,11 +1,13 @@
 //! Graph-based fragment detection: DgSpan and Edgar candidates.
 
-use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use gpa_cfg::{Item, Program};
 use gpa_dfg::{function_fingerprint, AliasOracle, Dfg, LabelMode};
+use gpa_image::pool;
 use gpa_mining::dfs_code::DfsTuple;
 use gpa_mining::embed::{seed_buckets, Embedding};
 use gpa_mining::graph::{InputGraph, LabelInterner};
@@ -33,13 +35,15 @@ pub struct GraphConfig {
     /// Fragment size cap in nodes.
     pub max_nodes: usize,
     /// Pattern-visit budget per mining round (bounds the exponential
-    /// lattice of large repetitive blocks; see
-    /// [`gpa_mining::miner::Config::max_patterns`]).
+    /// lattice of large repetitive blocks), consumed in seed order: a
+    /// seed may use what the seeds before it left, the seed that needs
+    /// more is cut at that point and the seeds after it are skipped.
     pub max_patterns: usize,
-    /// Worker threads for the lattice search (seed-level round-robin
-    /// partition; `1` = in-place sequential search). Results are merged
-    /// so the winning candidate matches the sequential search whenever
-    /// the pattern budget is not exhausted.
+    /// Worker threads for the lattice search. Each seed is a task claimed
+    /// from one pool (`1` = the calling thread searches the seeds in
+    /// order); the seed-order merge makes the winning candidate the same
+    /// at any thread count, so — like `front_threads` — the knob is
+    /// excluded from [`crate::artifact::image_cache_key`].
     pub threads: usize,
     /// Worker threads for the front-end per-block artifact build (the
     /// region DFGs, their reachability closures, and — under
@@ -65,14 +69,12 @@ pub struct GraphConfig {
     /// winning candidate carries the dropped pairs as claims for the
     /// validator.
     pub alias: AliasLevel,
-    /// Content-addressed cache of per-seed mining results for
-    /// incremental re-optimization (see [`crate::incremental`]). Purely
-    /// an accelerator: rounds served from the cache return exactly the
-    /// candidate the plain search would, and rounds that cannot be
-    /// proven equivalent (pattern budget reached, relaxed-alias
-    /// overlays active) fall back to the plain search — so the handle,
-    /// like `threads` and the tracer, is excluded from
-    /// [`crate::artifact::image_cache_key`].
+    /// The seed memo: a content-addressed cache of per-seed mining
+    /// results (see [`crate::incremental`]) consulted before every seed
+    /// task, except under [`AliasLevel::Stack`]. A hit replays exactly
+    /// what mining the seed would return, its visit count included, so
+    /// the handle — like `threads` and the tracer — is excluded from
+    /// [`crate::artifact::image_cache_key`]. `None` mines every seed.
     pub incremental: Option<Arc<dyn MineCache>>,
 }
 
@@ -506,7 +508,6 @@ struct SearchCtx<'a> {
     region_live: &'a [bool],
     graphs: &'a [InputGraph],
     max_body_words: i64,
-    tracer: &'a dyn Tracer,
 }
 
 /// The stable lowercase mechanism name used in trace events.
@@ -517,7 +518,7 @@ pub(crate) fn kind_name(kind: ExtractionKind) -> &'static str {
     }
 }
 
-/// A line of the per-round candidate table: enough of an evaluated
+/// A line of the per-round candidate table: enough of a seed's best
 /// candidate to explain, in the trace, why the winner won.
 #[derive(Clone, Debug)]
 struct CandidateSummary {
@@ -543,15 +544,12 @@ impl CandidateSummary {
 /// How many candidate-table lines each round's trace carries.
 const CANDIDATE_TABLE_LEN: usize = 5;
 
-/// One worker's running result: its best candidate, the seed index that
-/// produced it (for deterministic cross-worker tie-breaking), its MIS
-/// time share, and — when tracing — its slice of the candidate table.
+/// One seed task's running result: the best candidate of the seed's
+/// subtree so far (the seed-local incumbent) and the task's MIS time.
 #[derive(Default)]
-struct WorkerBest {
+struct SeedBest {
     candidate: Option<Candidate>,
-    seed: usize,
     mis_ns: u64,
-    top: Vec<CandidateSummary>,
 }
 
 impl SearchCtx<'_> {
@@ -578,12 +576,12 @@ impl SearchCtx<'_> {
         total.min(f.embeddings.len() as i64)
     }
 
-    /// The streaming visitor body; `seed` is the index of the seed whose
-    /// subtree is being grown. Bounds are compared against
-    /// `max(best, 1)` *inclusively*, so candidates tying the incumbent
-    /// are still evaluated — this keeps the tie-break total and makes
-    /// the partitioned search merge to the sequential result.
-    fn visit(&self, f: &Frequent, seed: usize, best: &mut WorkerBest) -> GrowDecision {
+    /// The streaming visitor body of one seed task. Bounds are compared
+    /// against `max(best, 1)` *inclusively*, so candidates tying the
+    /// incumbent are still evaluated — this keeps the tie-break total,
+    /// so the seed-order merge of seed-local bests is the best candidate
+    /// of the whole searched lattice.
+    fn visit(&self, f: &Frequent, best: &mut SeedBest, tracer: &dyn Tracer) -> GrowDecision {
         let m = f.pattern.node_count();
         // Any real candidate saves at least one word.
         let target = best.candidate.as_ref().map(|b| b.saved).unwrap_or(0).max(1);
@@ -597,20 +595,20 @@ impl SearchCtx<'_> {
             .filter(|e| self.region_live[e.graph as usize])
             .count();
         if k_live < 2 {
-            self.tracer.count("detect.prune_dead_region", 1);
+            tracer.count("detect.prune_dead_region", 1);
             return GrowDecision::SkipChildren;
         }
         let k_ub = self.tiling_bound(f, m);
         // No descendant (m′ ≥ m, occurrences ≤ k_ub since disjoint
         // counts are antimonotone) can reach the target: prune.
         if Self::benefit_bound(k_ub, self.max_body_words) < target {
-            self.tracer.count("detect.prune_tiling_bound", 1);
+            tracer.count("detect.prune_tiling_bound", 1);
             return GrowDecision::SkipChildren;
         }
         // This very pattern cannot reach the target: skip the expensive
         // validation but keep growing.
         if Self::benefit_bound(k_ub, 2 * m as i64) >= target {
-            self.tracer.count("detect.candidates_evaluated", 1);
+            tracer.count("detect.candidates_evaluated", 1);
             if let Some(c) = candidate_from_frequent(
                 f,
                 self.infos,
@@ -618,300 +616,479 @@ impl SearchCtx<'_> {
                 self.relaxed,
                 self.lr_free,
                 &mut best.mis_ns,
-                self.tracer,
+                tracer,
             ) {
-                if self.tracer.enabled() {
-                    best.top.push(CandidateSummary::of(&c, seed));
-                    best.top.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
-                    best.top.truncate(CANDIDATE_TABLE_LEN);
-                }
-                let wins = match &best.candidate {
-                    None => true,
-                    Some(b) => better(&c, b),
-                };
-                if wins {
+                if best.candidate.as_ref().is_none_or(|b| better(&c, b)) {
                     best.candidate = Some(c);
-                    best.seed = seed;
                 }
             }
         } else {
-            self.tracer.count("detect.skip_eval_benefit", 1);
+            tracer.count("detect.skip_eval_benefit", 1);
         }
         GrowDecision::Continue
     }
 }
 
-/// Runs `build(i)` for every `i in 0..n` over a bounded pool of up to
-/// `threads` workers and returns the results in input order (the
-/// `crates/pipeline` batch idiom: a shared claim counter plus one result
-/// slot per item). `build` must be independent per item; with one
-/// worker the pool degenerates to a plain in-place map.
-fn pooled_build<T, F>(n: usize, threads: usize, build: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n);
-    if threads <= 1 {
-        return (0..n).map(build).collect();
+/// A seed task's tracer: events go straight to the round's tracer, but
+/// counters are held back until the seed-order merge decides whether the
+/// task's work counts towards the round. Work past a budget cut is
+/// dropped, so counter totals never depend on how far other workers got.
+#[derive(Debug)]
+struct HeldCounts {
+    round: Arc<dyn Tracer>,
+    counts: Mutex<BTreeMap<&'static str, u64>>,
+}
+
+impl HeldCounts {
+    fn flush(&self) {
+        for (&name, &delta) in self.counts.lock().expect("held counts poisoned").iter() {
+            self.round.count(name, delta);
+        }
     }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let built = build(i);
-        *slots[i].lock().expect("front slot poisoned") = Some(built);
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(worker);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("front slot poisoned")
-                .expect("every claimed index leaves a result")
-        })
-        .collect()
 }
 
-/// The result of a successfully replayed incremental round: the merged
-/// winner (with its seed index for the common winner-event tail) and the
-/// MIS time actually spent on dirty seeds.
-struct IncrOutcome {
-    merged: Option<(Candidate, usize)>,
-    mis_ns: u64,
+impl Tracer for HeldCounts {
+    fn count(&self, counter: &'static str, delta: u64) {
+        *self
+            .counts
+            .lock()
+            .expect("held counts poisoned")
+            .entry(counter)
+            .or_insert(0) += delta;
+    }
+
+    fn event(&self, name: &'static str, fields: &[(&'static str, Value)]) {
+        self.round.event(name, fields);
+    }
+
+    fn enabled(&self) -> bool {
+        true
+    }
 }
 
-/// One seed's slice of the round's incremental plan.
-struct SeedPlan {
-    /// Content address of the seed's mining result.
+/// One seed's result as the seed-order merge consumes it.
+struct SeedRun {
+    /// Patterns visited, each charged to the round budget.
+    visited: usize,
+    /// Whether the seed's subtree was searched to the end.
+    complete: bool,
+    /// The best candidate found.
+    candidate: Option<Candidate>,
+    /// Whether the memo answered instead of a search.
+    replayed: bool,
+    /// The search's held-back counters (`None` when untraced or replayed).
+    counts: Option<Arc<HeldCounts>>,
+}
+
+/// One seed's content address in the memo (see [`crate::incremental`]).
+struct MemoKey {
     key: u128,
-    /// Hosting functions (ascending indices) — the dirty set for the
-    /// per-function hit/miss counters.
-    hosts: Vec<usize>,
-    /// The cached entry, when the key hit.
-    cached: Option<SeedEntry>,
-    /// Whether this miss superseded an entry cached under a different
-    /// key for the same seed tuple (an edit invalidated it).
-    invalidated: bool,
+    /// Whether an edit changed the seed's key since the tuple's last
+    /// sighting.
+    changed: bool,
 }
 
-/// Serves a detection round from the seed cache: unchanged seeds replay
-/// their cached subtree bests, dirty seeds are re-mined (in parallel,
-/// each with a fresh pattern budget and a seed-local incumbent so the
-/// result is cacheable), and the per-seed bests merge in seed order.
-///
-/// Returns `None` when the round cannot be proven byte-equivalent to
-/// the plain search — the summed pattern visits reach the round budget,
-/// a single seed exhausts it, or a cached occurrence fails to remap —
-/// in which case the caller falls back to the plain search. See
-/// [`crate::incremental`] for the equivalence argument.
-fn incremental_search(
-    ctx: &SearchCtx<'_>,
-    seeds: &[(DfsTuple, Vec<Embedding>)],
-    interner: &LabelInterner,
-    mine_config: &Config,
-    config: &GraphConfig,
-    program: &Program,
-    cache: &dyn MineCache,
-) -> Option<IncrOutcome> {
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+/// The seed memo of one round: the cache and every seed's key.
+struct Memo<'a> {
+    cache: &'a dyn MineCache,
+    program: &'a Program,
+    index: HashMap<&'a str, usize>,
+    keys: Vec<MemoKey>,
+}
 
-    let funcs = program.functions.len();
-    let fingerprints: Vec<u128> = program
-        .functions
-        .iter()
-        .map(|f| function_fingerprint(&f.name, &f.items, config.label_mode))
-        .collect();
-    let key_config = SeedKeyConfig {
-        support: match mine_config.support {
-            Support::Graphs => 0,
-            Support::Embeddings => 1,
-        },
-        label_mode: match config.label_mode {
-            LabelMode::Exact => 0,
-            LabelMode::Canonical => 1,
-        },
-        max_nodes: mine_config.max_nodes as u64,
-        max_patterns: mine_config.max_patterns as u64,
-    };
-    // Ascending interner-id label vocabulary per function: the DFS-code
-    // canonical order restricted to a seed's hosts decides which seed's
-    // subtree owns each pattern, so it is part of the seed's content
-    // address (see `crate::incremental`).
-    let mut func_vocab: Vec<Vec<u32>> = vec![Vec::new(); funcs];
-    for (gi, graph) in ctx.graphs.iter().enumerate() {
-        func_vocab[ctx.infos[gi].function].extend_from_slice(&graph.labels);
-    }
-    for vocab in &mut func_vocab {
-        vocab.sort_unstable();
-        vocab.dedup();
-    }
-    let mut plans: Vec<SeedPlan> = Vec::with_capacity(seeds.len());
-    let mut visited_cached = 0u64;
-    for (tuple, embeddings) in seeds {
-        let mut hosts: Vec<usize> = embeddings
+impl<'a> Memo<'a> {
+    /// Computes every seed's content address and notes it in the cache,
+    /// in seed order.
+    fn plan(
+        cache: &'a dyn MineCache,
+        program: &'a Program,
+        ctx: &SearchCtx<'_>,
+        seeds: &[(DfsTuple, Vec<Embedding>)],
+        interner: &LabelInterner,
+        mine_config: &Config,
+        label_mode: LabelMode,
+    ) -> Memo<'a> {
+        let fingerprints: Vec<u128> = program
+            .functions
             .iter()
-            .map(|e| ctx.infos[e.graph as usize].function)
+            .map(|f| function_fingerprint(&f.name, &f.items, label_mode))
             .collect();
-        hosts.sort_unstable();
-        hosts.dedup();
-        let mut vocab: Vec<u32> = hosts
-            .iter()
-            .flat_map(|&fi| func_vocab[fi].iter().copied())
-            .collect();
-        vocab.sort_unstable();
-        vocab.dedup();
-        let key = incremental::seed_cache_key(
-            &key_config,
-            interner.name(tuple.from_label),
-            interner.name(tuple.to_label),
-            tuple.outgoing,
-            tuple.edge_label,
-            hosts.iter().map(|&fi| {
-                (
-                    program.functions[fi].name.as_str(),
-                    fingerprints[fi],
-                    ctx.lr_free[fi],
-                )
-            }),
-            vocab.iter().map(|&id| interner.name(id)),
-        );
-        let note = cache.note_tuple(key.tuple, key.full);
-        let cached = cache.get(key.full);
-        if let Some(entry) = &cached {
-            visited_cached += entry.visited;
+        let key_config = SeedKeyConfig {
+            support: match mine_config.support {
+                Support::Graphs => 0,
+                Support::Embeddings => 1,
+            },
+            label_mode: match label_mode {
+                LabelMode::Exact => 0,
+                LabelMode::Canonical => 1,
+            },
+            max_nodes: mine_config.max_nodes as u64,
+            max_patterns: mine_config.max_patterns as u64,
+        };
+        // Ascending interner-id label vocabulary per function: the DFS-code
+        // canonical order restricted to a seed's hosts decides which seed's
+        // subtree owns each pattern, so it is part of the seed's content
+        // address (see `crate::incremental`).
+        let mut func_vocab: Vec<Vec<u32>> = vec![Vec::new(); program.functions.len()];
+        for (gi, graph) in ctx.graphs.iter().enumerate() {
+            func_vocab[ctx.infos[gi].function].extend_from_slice(&graph.labels);
         }
-        plans.push(SeedPlan {
-            key: key.full,
-            hosts,
-            invalidated: cached.is_none() && note == TupleNote::Changed,
-            cached,
-        });
+        for vocab in &mut func_vocab {
+            vocab.sort_unstable();
+            vocab.dedup();
+        }
+        let keys = seeds
+            .iter()
+            .map(|(tuple, embeddings)| {
+                let mut hosts: Vec<usize> = embeddings
+                    .iter()
+                    .map(|e| ctx.infos[e.graph as usize].function)
+                    .collect();
+                hosts.sort_unstable();
+                hosts.dedup();
+                let mut vocab: Vec<u32> = hosts
+                    .iter()
+                    .flat_map(|&fi| func_vocab[fi].iter().copied())
+                    .collect();
+                vocab.sort_unstable();
+                vocab.dedup();
+                let key = incremental::seed_cache_key(
+                    &key_config,
+                    interner.name(tuple.from_label),
+                    interner.name(tuple.to_label),
+                    tuple.outgoing,
+                    tuple.edge_label,
+                    hosts.iter().map(|&fi| {
+                        (
+                            program.functions[fi].name.as_str(),
+                            fingerprints[fi],
+                            ctx.lr_free[fi],
+                        )
+                    }),
+                    vocab.iter().map(|&id| interner.name(id)),
+                );
+                MemoKey {
+                    key: key.full,
+                    changed: cache.note_tuple(key.tuple, key.full) == TupleNote::Changed,
+                }
+            })
+            .collect();
+        let index = program
+            .functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name.as_str(), i))
+            .collect();
+        Memo {
+            cache,
+            program,
+            index,
+            keys,
+        }
     }
-    let budget_total = mine_config.max_patterns as u64;
-    let dirty: Vec<usize> = (0..plans.len())
-        .filter(|&si| plans[si].cached.is_none())
-        .collect();
-    let visited_total = AtomicU64::new(visited_cached);
-    let aborted = AtomicBool::new(visited_cached >= budget_total);
-    let mined: Vec<Option<WorkerBest>> = pooled_build(dirty.len(), config.threads, |di| {
-        if aborted.load(Ordering::Relaxed) {
+}
+
+/// Where the round budget cut the seed sequence.
+struct Cut {
+    seed: usize,
+    /// What the seeds before it left of the budget.
+    allowance: usize,
+    /// Whether the memo held the seed.
+    hit: bool,
+    /// The seed's search, when it stopped after exactly `allowance`
+    /// patterns.
+    run: Option<SeedRun>,
+}
+
+/// The seed-order merge of one round.
+#[derive(Default)]
+struct Merge {
+    /// The next seed to consume.
+    next: usize,
+    /// Patterns charged by the consumed seeds.
+    used: usize,
+    /// Runs that finished ahead of `next`.
+    pending: BTreeMap<usize, SeedRun>,
+    /// The pattern budget left to each seed still being searched.
+    running: BTreeMap<usize, Arc<AtomicUsize>>,
+    cut: Option<Cut>,
+    winner: Option<(Candidate, usize)>,
+    table: Vec<CandidateSummary>,
+    /// Functions hosting a consumed seed the memo missed.
+    dirty: BTreeSet<usize>,
+    /// New memo entries (key, visited, best candidate), stored once the
+    /// round's workers are gone so the long-lived entries are allocated
+    /// on the calling thread.
+    puts: Vec<(u128, u64, Option<Candidate>)>,
+}
+
+impl Merge {
+    /// Starts seed `si` with what the budget leaves after the seeds
+    /// before it whose visits are known: never less than the seed's
+    /// final allowance, and lowered as the seeds before it finish (see
+    /// [`SeedSearch::deposit`]). `None` when the known visits already
+    /// show the budget runs out before `si`.
+    fn start(&mut self, si: usize, budget: usize) -> Option<Arc<AtomicUsize>> {
+        if self.cut.is_some() {
             return None;
         }
-        let si = dirty[di];
-        let (tuple, embeddings) = &seeds[si];
-        let mut best = WorkerBest::default();
-        let mut budget = mine_config.max_patterns;
+        let mut used = self.used;
+        for (_, run) in self.pending.range(..si) {
+            if !run.complete {
+                return None;
+            }
+            used += run.visited;
+        }
+        let left = Arc::new(AtomicUsize::new(budget.checked_sub(used)?));
+        self.running.insert(si, Arc::clone(&left));
+        Some(left)
+    }
+}
+
+/// The seed-task engine: one detection round's lattice search.
+///
+/// Every seed of [`seed_buckets`] is one task, claimed dynamically from
+/// [`pool::map`] and grown with a seed-local incumbent, so a
+/// task's result — its subtree's best candidate and the patterns it
+/// visited — depends only on the seed. The round budget of
+/// `max_patterns` visits is consumed in seed order: seed *i* may use
+/// what the seeds before it left, a seed that needs more is cut there
+/// (searched again with exactly that allowance), and the seeds after it
+/// are skipped. The merge walks the seeds in order, so the winner
+/// depends only on (program, config) — never on the thread count, nor on
+/// which memo entries were warm.
+struct SeedSearch<'a> {
+    ctx: &'a SearchCtx<'a>,
+    seeds: &'a [(DfsTuple, Vec<Embedding>)],
+    mine_config: &'a Config,
+    budget: usize,
+    memo: Option<Memo<'a>>,
+    merge: Mutex<Merge>,
+    mis_ns: AtomicU64,
+}
+
+impl SeedSearch<'_> {
+    fn tracer(&self) -> &dyn Tracer {
+        &*self.mine_config.tracer
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Merge> {
+        self.merge.lock().expect("seed merge poisoned")
+    }
+
+    /// One pool task: answer seed `si` from the memo or mine it, then
+    /// hand the result to the merge.
+    fn task(&self, si: usize) {
+        let Some(left) = self.lock().start(si, self.budget) else {
+            return;
+        };
+        let run = self.replay(si).unwrap_or_else(|| self.mine(si, &left));
+        self.deposit(si, run);
+    }
+
+    /// The memo's answer for seed `si`, if it has one.
+    fn replay(&self, si: usize) -> Option<SeedRun> {
+        let memo = self.memo.as_ref()?;
+        let entry = memo.cache.get(memo.keys[si].key)?;
+        let candidate = match &entry.candidate {
+            None => None,
+            // A key names every host, so this only fails on a corrupt
+            // entry; the seed is then mined like a miss.
+            Some(p) => Some(incremental::to_concrete(p, &memo.index)?),
+        };
+        Some(SeedRun {
+            visited: usize::try_from(entry.visited).unwrap_or(usize::MAX),
+            complete: true,
+            candidate,
+            replayed: true,
+            counts: None,
+        })
+    }
+
+    /// Grows seed `si` with a seed-local incumbent, visiting at most as
+    /// many patterns as `left` allows.
+    fn mine(&self, si: usize, left: &AtomicUsize) -> SeedRun {
+        let counts = self.tracer().enabled().then(|| {
+            Arc::new(HeldCounts {
+                round: Arc::clone(&self.mine_config.tracer),
+                counts: Mutex::default(),
+            })
+        });
+        let held;
+        let config = match &counts {
+            Some(counts) => {
+                held = Config {
+                    tracer: Arc::clone(counts) as Arc<dyn Tracer>,
+                    ..self.mine_config.clone()
+                };
+                &held
+            }
+            None => self.mine_config,
+        };
+        let (tuple, embeddings) = &self.seeds[si];
+        let mut best = SeedBest::default();
+        let mut visited = 0;
         let complete = mine_seed(
             *tuple,
             embeddings.clone(),
-            ctx.graphs,
-            mine_config,
-            &mut |f| ctx.visit(f, si, &mut best),
-            &mut budget,
-        );
-        let visited = (mine_config.max_patterns - budget) as u64;
-        if !complete {
-            // This seed alone exhausted the budget: its subtree best is
-            // not exact, so neither cache nor replay it.
-            aborted.store(true, Ordering::Relaxed);
-            return None;
-        }
-        // The entry is exact for this seed regardless of how the round
-        // ends, so publish it even if the round later falls back.
-        let portable = match &best.candidate {
-            None => Some(None),
-            Some(c) => incremental::to_portable(c, program).map(Some),
-        };
-        if let Some(candidate) = portable {
-            cache.put(plans[si].key, SeedEntry { candidate, visited });
-        }
-        if visited_total.fetch_add(visited, Ordering::Relaxed) + visited >= budget_total {
-            // The sequential search might exhaust its shared budget on
-            // this round: fall back for exact exhaustion semantics.
-            aborted.store(true, Ordering::Relaxed);
-        }
-        Some(best)
-    });
-    if aborted.load(Ordering::Relaxed) {
-        ctx.tracer.count("incr.fallback", 1);
-        return None;
-    }
-    let index: HashMap<&str, usize> = program
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-    let mut dirty_results: HashMap<usize, WorkerBest> = dirty
-        .iter()
-        .copied()
-        .zip(mined)
-        .filter_map(|(si, wb)| wb.map(|w| (si, w)))
-        .collect();
-    let mut merged: Option<(Candidate, usize)> = None;
-    let mut mis_ns = 0u64;
-    for (si, plan) in plans.iter().enumerate() {
-        let candidate = match &plan.cached {
-            Some(entry) => match &entry.candidate {
-                None => None,
-                Some(p) => match incremental::to_concrete(p, &index) {
-                    Some(c) => Some(c),
-                    None => {
-                        ctx.tracer.count("incr.fallback", 1);
-                        return None;
-                    }
-                },
+            self.ctx.graphs,
+            config,
+            &mut |f| {
+                visited += 1;
+                self.ctx.visit(f, &mut best, &*config.tracer)
             },
-            None => {
-                let wb = dirty_results.remove(&si)?;
-                mis_ns += wb.mis_ns;
-                wb.candidate
-            }
+            left,
+        );
+        self.mis_ns.fetch_add(best.mis_ns, Ordering::Relaxed);
+        SeedRun {
+            visited,
+            complete,
+            candidate: best.candidate,
+            replayed: false,
+            counts,
+        }
+    }
+
+    /// Parks a finished run, charges it to the seeds after it that are
+    /// still being searched, and consumes every run the seed order now
+    /// allows, up to the cut.
+    fn deposit(&self, si: usize, run: SeedRun) {
+        let mut merge = self.lock();
+        merge.running.remove(&si);
+        if merge.cut.is_some() {
+            return;
+        }
+        // A run that did not finish means the budget runs out at or
+        // before `si`, so every later seed is past the cut.
+        let charge = if run.complete {
+            run.visited
+        } else {
+            usize::MAX
         };
-        let Some(c) = candidate else { continue };
-        // Seeds merge in ascending order, so a full tie keeps the
-        // incumbent — the earlier seed, as in the plain search's
-        // cross-worker merge.
-        merged = match merged {
-            None => Some((c, si)),
-            Some((incumbent, inc_seed)) => {
-                if better(&c, &incumbent) {
-                    Some((c, si))
-                } else {
-                    Some((incumbent, inc_seed))
+        for (_, left) in merge.running.range(si + 1..) {
+            let _ = left.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |l| {
+                Some(l.saturating_sub(charge))
+            });
+        }
+        merge.pending.insert(si, run);
+        loop {
+            let next = merge.next;
+            let Some(run) = merge.pending.remove(&next) else {
+                return;
+            };
+            let allowance = self.budget - merge.used;
+            if run.complete && run.visited <= allowance {
+                let hit = run.replayed;
+                self.accept(&mut merge, next, run, hit);
+                merge.next += 1;
+                continue;
+            }
+            // The budget binds inside this seed: later seeds are skipped,
+            // and the seed keeps only what a search capped at its
+            // allowance finds.
+            let hit = run.replayed;
+            let exact = (!run.complete && run.visited == allowance).then_some(run);
+            merge.cut = Some(Cut {
+                seed: next,
+                allowance,
+                hit,
+                run: exact,
+            });
+            merge.pending.clear();
+            for left in merge.running.values() {
+                left.store(0, Ordering::Relaxed);
+            }
+            return;
+        }
+    }
+
+    /// Charges one consumed seed to the budget and merges its best
+    /// candidate; ties keep the earlier seed.
+    fn accept(&self, merge: &mut Merge, si: usize, run: SeedRun, hit: bool) {
+        let tracer = self.tracer();
+        merge.used += run.visited;
+        if let Some(counts) = &run.counts {
+            counts.flush();
+        }
+        if run.replayed {
+            tracer.count("mine.patterns_visited", run.visited as u64);
+            tracer.count("mine.patterns_replayed", run.visited as u64);
+        }
+        if let Some(memo) = &self.memo {
+            let key = &memo.keys[si];
+            if hit {
+                tracer.count("incr.seed_hit", 1);
+            } else {
+                tracer.count("incr.seed_miss", 1);
+                tracer.count("incr.invalidated", u64::from(key.changed));
+                let (_, embeddings) = &self.seeds[si];
+                merge.dirty.extend(
+                    embeddings
+                        .iter()
+                        .map(|e| self.ctx.infos[e.graph as usize].function),
+                );
+            }
+            if run.complete && !run.replayed {
+                merge
+                    .puts
+                    .push((key.key, run.visited as u64, run.candidate.clone()));
+            }
+        }
+        let Some(c) = run.candidate else { return };
+        if tracer.enabled() {
+            merge.table.push(CandidateSummary::of(&c, si));
+            merge
+                .table
+                .sort_by_key(|s| (-s.saved, s.body_words, s.seed));
+            merge.table.truncate(CANDIDATE_TABLE_LEN);
+        }
+        if merge.winner.as_ref().is_none_or(|(w, _)| better(&c, w)) {
+            merge.winner = Some((c, si));
+        }
+    }
+
+    /// Runs every seed task and returns the round's merge.
+    fn run(self, threads: usize) -> (Merge, u64) {
+        pool::map(self.seeds.len(), threads, |si| self.task(si));
+        let cut = self.lock().cut.take();
+        if let Some(cut) = cut {
+            self.tracer().event(
+                "mine.budget_exhausted",
+                &[
+                    ("seed", Value::from(cut.seed)),
+                    ("visited", Value::from(self.budget - cut.allowance)),
+                    ("budget", Value::from(self.budget)),
+                ],
+            );
+            let run = cut
+                .run
+                .unwrap_or_else(|| self.mine(cut.seed, &AtomicUsize::new(cut.allowance)));
+            self.accept(&mut self.lock(), cut.seed, run, cut.hit);
+        }
+        if let Some(memo) = &self.memo {
+            let mut merge = self.lock();
+            for (key, visited, candidate) in merge.puts.drain(..) {
+                let portable = match &candidate {
+                    None => Some(None),
+                    Some(c) => incremental::to_portable(c, memo.program).map(Some),
+                };
+                if let Some(candidate) = portable {
+                    memo.cache.put(key, SeedEntry { candidate, visited });
                 }
             }
-        };
-    }
-    let mut dirty_fn = vec![false; funcs];
-    for &si in &dirty {
-        for &fi in &plans[si].hosts {
-            dirty_fn[fi] = true;
+            let tracer = self.tracer();
+            let funcs = memo.program.functions.len() as u64;
+            let func_miss = merge.dirty.len() as u64;
+            tracer.count("incr.funcs", funcs);
+            tracer.count("incr.func_hit", funcs - func_miss);
+            tracer.count("incr.func_miss", func_miss);
         }
+        let mis_ns = self.mis_ns.load(Ordering::Relaxed);
+        (
+            self.merge.into_inner().expect("seed merge poisoned"),
+            mis_ns,
+        )
     }
-    let func_miss = dirty_fn.iter().filter(|&&d| d).count() as u64;
-    ctx.tracer.count("incr.funcs", funcs as u64);
-    ctx.tracer.count("incr.func_hit", funcs as u64 - func_miss);
-    ctx.tracer.count("incr.func_miss", func_miss);
-    ctx.tracer
-        .count("incr.seed_hit", (plans.len() - dirty.len()) as u64);
-    ctx.tracer.count("incr.seed_miss", dirty.len() as u64);
-    ctx.tracer.count(
-        "incr.invalidated",
-        plans.iter().filter(|p| p.invalidated).count() as u64,
-    );
-    Some(IncrOutcome { merged, mis_ns })
 }
 
 /// Finds the best extractable candidate in the program under graph-based
@@ -924,12 +1101,10 @@ pub fn best_candidate(program: &Program, config: &GraphConfig) -> Option<Candida
 /// [`best_candidate`] with per-stage timing accumulation and an optional
 /// content-addressed cache of per-block artifacts.
 ///
-/// With `config.threads > 1` the seed patterns of the DFS-code lattice
-/// are partitioned round-robin over worker threads; each worker keeps a
-/// local best and the results merge under the same total preference
-/// order the sequential search uses (ties broken towards the earlier
-/// seed), so the returned candidate is the sequential one whenever the
-/// per-worker pattern budget is not exhausted.
+/// The lattice search is the seed-task engine ([`SeedSearch`]): seeds
+/// are tasks on `config.threads` workers, the pattern budget is consumed
+/// in seed order, and the candidate returned is the same at any thread
+/// count.
 pub(crate) fn best_candidate_instrumented(
     program: &Program,
     config: &GraphConfig,
@@ -944,7 +1119,7 @@ pub(crate) fn best_candidate_instrumented(
     // isomorphism and fragment connectivity (shrinking the candidate
     // universe instead of growing it). Conservative artifacts are also
     // what the content-addressed cache may serve.
-    let artifacts: Vec<Arc<BlockArtifact>> = pooled_build(infos.len(), config.front_threads, |i| {
+    let artifacts: Vec<Arc<BlockArtifact>> = pool::map(infos.len(), config.front_threads, |i| {
         let info = &infos[i];
         match cache {
             Some(cache) => cache.get_or_build(&info.items, config.label_mode),
@@ -961,7 +1136,7 @@ pub(crate) fn best_candidate_instrumented(
         AliasLevel::Stack => {
             let oracles = region_oracles(program, &infos, &*config.tracer);
             let overlay: Vec<Arc<BlockArtifact>> =
-                pooled_build(infos.len(), config.front_threads, |i| {
+                pool::map(infos.len(), config.front_threads, |i| {
                     Arc::new(BlockArtifact::build_with(
                         &infos[i].items,
                         config.label_mode,
@@ -1011,7 +1186,6 @@ pub(crate) fn best_candidate_instrumented(
         region_live: &region_live,
         graphs: &graphs,
         max_body_words: 2 * config.max_nodes as i64, // fused calls = 2 words
-        tracer: &*config.tracer,
     };
     let mine_config = Config {
         min_support: 2,
@@ -1024,91 +1198,32 @@ pub(crate) fn best_candidate_instrumented(
     let mine_start = Instant::now();
     let mine_span = gpa_trace::span(&*config.tracer, "mine");
     let seeds: Vec<_> = seed_buckets(&graphs).into_iter().collect();
-    // Incremental replay first: when a seed cache is attached (and the
-    // round is cacheable — conservative DFGs only), serve unchanged
-    // seeds from their content addresses and re-mine just the dirty
-    // ones. `None` means the round could not be proven byte-equivalent
-    // to the plain search (pattern budget reached, or a defensive remap
-    // failure); fall back to the plain search below.
-    let incremental = match (&config.incremental, config.alias) {
-        (Some(cache), AliasLevel::Off) => incremental_search(
+    // The memo stays off under relaxed-alias overlays: a candidate's
+    // relaxed-edge claims depend on more than its hosting functions.
+    let memo = match (&config.incremental, config.alias) {
+        (Some(cache), AliasLevel::Off) => Some(Memo::plan(
+            &**cache,
+            program,
             &ctx,
             &seeds,
             &interner,
             &mine_config,
-            config,
-            program,
-            &**cache,
-        ),
+            config.label_mode,
+        )),
         _ => None,
     };
-    let (mut mis_total, mut merged, mut table): (
-        u64,
-        Option<(Candidate, usize)>,
-        Vec<CandidateSummary>,
-    ) = (0, None, Vec::new());
-    if let Some(outcome) = incremental {
-        mis_total = outcome.mis_ns;
-        merged = outcome.merged;
-    } else {
-        let workers = config.threads.max(1).min(seeds.len().max(1));
-        let run_worker = |worker: usize, stride: usize| -> WorkerBest {
-            let mut best = WorkerBest::default();
-            let mut budget = mine_config.max_patterns;
-            for (si, (tuple, embeddings)) in seeds.iter().enumerate() {
-                if si % stride != worker {
-                    continue;
-                }
-                let keep_going = mine_seed(
-                    *tuple,
-                    embeddings.clone(),
-                    &graphs,
-                    &mine_config,
-                    &mut |f| ctx.visit(f, si, &mut best),
-                    &mut budget,
-                );
-                if !keep_going {
-                    break;
-                }
-            }
-            best
-        };
-        let worker_bests: Vec<WorkerBest> = if workers <= 1 {
-            vec![run_worker(0, 1)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let run_worker = &run_worker;
-                        scope.spawn(move || run_worker(w, workers))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("mining worker panicked"))
-                    .collect()
-            })
-        };
-        for wb in worker_bests {
-            mis_total += wb.mis_ns;
-            table.extend(wb.top);
-            let Some(c) = wb.candidate else { continue };
-            merged = match merged {
-                None => Some((c, wb.seed)),
-                Some((incumbent, inc_seed)) => {
-                    if better(&c, &incumbent) || (!better(&incumbent, &c) && wb.seed < inc_seed) {
-                        Some((c, wb.seed))
-                    } else {
-                        Some((incumbent, inc_seed))
-                    }
-                }
-            };
-        }
-    }
+    let search = SeedSearch {
+        ctx: &ctx,
+        seeds: &seeds,
+        mine_config: &mine_config,
+        budget: config.max_patterns,
+        memo,
+        merge: Mutex::default(),
+        mis_ns: AtomicU64::new(0),
+    };
+    let (Merge { winner, table, .. }, mis_total) = search.run(config.threads);
     drop(mine_span);
     if config.tracer.enabled() {
-        table.sort_by_key(|s| (-s.saved, s.body_words, s.seed));
-        table.truncate(CANDIDATE_TABLE_LEN);
         for (rank, s) in table.iter().enumerate() {
             config.tracer.event(
                 "detect.candidate",
@@ -1122,7 +1237,7 @@ pub(crate) fn best_candidate_instrumented(
                 ],
             );
         }
-        if let Some((winner, _)) = &merged {
+        if let Some((winner, _)) = &winner {
             // Explain the win against the strongest runner-up in the
             // table (the table order mirrors `better`, so the winner is
             // line 1 and the runner-up line 2).
@@ -1152,7 +1267,7 @@ pub(crate) fn best_candidate_instrumented(
     let mine_ns = gpa_trace::saturating_ns(mine_start.elapsed());
     timings.mining_ns += mine_ns.saturating_sub(mis_total);
     timings.mis_ns += mis_total;
-    merged.map(|(c, _)| c)
+    winner.map(|(c, _)| c)
 }
 
 #[cfg(test)]

@@ -50,25 +50,26 @@
 //!
 //! # Why replay is byte-identical
 //!
-//! Cached entries are mined with a *seed-local* incumbent (a fresh best
-//! per seed), which visits a superset of the patterns the sequential
-//! search would visit for that seed (a weaker incumbent can only prune
-//! less). Each entry therefore records the seed's true subtree best
-//! under the total preference order, plus the pattern count `visited`
-//! that the seed-local search spent. When the sum of `visited` over all
-//! seeds stays below the round's pattern budget, the sequential search
-//! cannot have exhausted its budget either, so merging the per-seed
-//! bests in seed order — ties to the earlier seed — reproduces the
-//! sequential (and the partitioned-parallel) result exactly. When the
-//! sum reaches the budget, the round *falls back* to the plain search,
-//! so exhaustion semantics are preserved bit-for-bit too.
+//! The lattice search itself is per seed: the seed-task engine in
+//! [`crate::graph_detect`] grows every seed with a *seed-local*
+//! incumbent (a fresh best per seed), so a seed's result — its subtree
+//! best under the total preference order, and the pattern count
+//! `visited` the search spent — is a pure function of the seed's closure
+//! above. An entry records exactly that pair for a seed whose subtree was
+//! searched to the end. The round budget is then applied in seed order
+//! to the recorded `visited` counts exactly as to freshly mined ones: a
+//! replayed seed that would overrun what the seeds before it left is cut
+//! and searched again under that allowance, like a mined one. So a hit
+//! and a re-mine behave identically whether the budget binds or not,
+//! and no round ever needs a fallback.
 //!
-//! The incremental handle is deliberately excluded from
-//! `image_cache_key` — like `front_threads` and the tracer, it never
-//! changes which candidate wins, only how fast it is found.
+//! The memo handle is deliberately excluded from `image_cache_key` —
+//! like `front_threads` and the tracer, it never changes which candidate
+//! wins, only how fast it is found.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use gpa_cfg::{Item, Program};
@@ -155,9 +156,9 @@ pub enum TupleNote {
 /// A content-addressed store of per-seed mining results, shared across
 /// detection rounds, images and (in serve) requests.
 ///
-/// Implementations must be safe for concurrent use: the dirty seeds of
-/// one round are mined in parallel, and serve shares one cache across
-/// its worker pool. The cache is purely an accelerator — correctness
+/// Implementations must be safe for concurrent use: the seed tasks of
+/// one round run in parallel, and serve shares one cache across its
+/// worker pool. The cache is purely an accelerator — correctness
 /// never depends on what `get` returns, because a hit replays a value
 /// that is a pure function of its key.
 pub trait MineCache: Send + Sync + fmt::Debug {
@@ -279,8 +280,8 @@ pub(crate) fn to_portable(c: &Candidate, program: &Program) -> Option<PortableCa
 
 /// Rebinds a portable candidate to the current program's function
 /// indices. `None` when a named function is absent — impossible on a
-/// genuine key hit (the key names every host), kept as a defensive
-/// fallback-to-plain-search signal rather than a panic.
+/// genuine key hit (the key names every host); the seed is then mined
+/// like a miss rather than panicking.
 pub(crate) fn to_concrete(
     p: &PortableCandidate,
     index: &HashMap<&str, usize>,
@@ -306,16 +307,38 @@ pub(crate) fn to_concrete(
     })
 }
 
-/// A plain in-process [`MineCache`] over a mutexed map: the reference
-/// implementation used by unit tests and one-shot CLI runs. The
-/// production implementation (`gpa_pipeline::FuncCache`) adds sharding,
-/// cost budgets and eviction.
+/// A plain in-process [`MineCache`] over a mutexed map: the per-run seed
+/// memo every [`crate::Optimizer`] owns, and the reference
+/// implementation for unit tests. The production implementation
+/// shared across runs (`gpa_pipeline::FuncCache`) adds sharding, cost
+/// budgets and eviction.
+///
+/// Left alone the cache grows without bound. A caller that moves on
+/// round by round calls [`MemoryMineCache::next_round`]; the cache then
+/// keeps only the keys noted (see [`MineCache::note_tuple`]) or stored
+/// in the current and the previous round.
 #[derive(Debug, Default)]
 pub struct MemoryMineCache {
-    entries: Mutex<HashMap<u128, SeedEntry>>,
-    tuples: Mutex<HashMap<u128, u128>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+    state: Mutex<MemoState>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// Entries and tuple notes, each stamped with the last round that used it.
+#[derive(Debug, Default)]
+struct MemoState {
+    round: u64,
+    entries: HashMap<u128, StoredEntry>,
+    tuples: HashMap<u128, (u128, u64)>,
+}
+
+/// A [`SeedEntry`] as the memo holds it. Most seeds have no candidate,
+/// so the rare candidate is boxed to keep every slot small.
+#[derive(Debug)]
+struct StoredEntry {
+    candidate: Option<Box<PortableCandidate>>,
+    visited: u64,
+    used: u64,
 }
 
 impl MemoryMineCache {
@@ -324,19 +347,33 @@ impl MemoryMineCache {
         MemoryMineCache::default()
     }
 
+    fn state(&self) -> std::sync::MutexGuard<'_, MemoState> {
+        self.state.lock().expect("mine cache poisoned")
+    }
+
+    /// Starts a new round: drops every entry and tuple note the previous
+    /// round did not use.
+    pub fn next_round(&self) {
+        let mut state = self.state();
+        state.round += 1;
+        let keep = state.round - 1;
+        state.entries.retain(|_, e| e.used >= keep);
+        state.tuples.retain(|_, (_, used)| *used >= keep);
+    }
+
     /// Seed-entry lookups answered from the cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Seed-entry lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.misses.load(std::sync::atomic::Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Cached seed entries.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("mine cache poisoned").len()
+        self.state().entries.len()
     }
 
     /// Whether the cache holds no entries.
@@ -347,37 +384,38 @@ impl MemoryMineCache {
 
 impl MineCache for MemoryMineCache {
     fn get(&self, key: u128) -> Option<SeedEntry> {
-        let hit = self
-            .entries
-            .lock()
-            .expect("mine cache poisoned")
-            .get(&key)
-            .cloned();
+        let hit = self.state().entries.get(&key).map(|e| SeedEntry {
+            candidate: e.candidate.as_deref().cloned(),
+            visited: e.visited,
+        });
         let counter = if hit.is_some() {
             &self.hits
         } else {
             &self.misses
         };
-        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
         hit
     }
 
     fn put(&self, key: u128, entry: SeedEntry) {
-        self.entries
-            .lock()
-            .expect("mine cache poisoned")
-            .insert(key, entry);
+        let mut state = self.state();
+        let stored = StoredEntry {
+            candidate: entry.candidate.map(Box::new),
+            visited: entry.visited,
+            used: state.round,
+        };
+        state.entries.insert(key, stored);
     }
 
     fn note_tuple(&self, tuple: u128, key: u128) -> TupleNote {
-        match self
-            .tuples
-            .lock()
-            .expect("mine cache poisoned")
-            .insert(tuple, key)
-        {
+        let mut state = self.state();
+        let round = state.round;
+        if let Some(entry) = state.entries.get_mut(&key) {
+            entry.used = round;
+        }
+        match state.tuples.insert(tuple, (key, round)) {
             None => TupleNote::New,
-            Some(prev) if prev == key => TupleNote::Same,
+            Some((prev, _)) if prev == key => TupleNote::Same,
             Some(_) => TupleNote::Changed,
         }
     }
@@ -470,5 +508,30 @@ mod tests {
         assert_eq!(cache.note_tuple(9, 1), TupleNote::New);
         assert_eq!(cache.note_tuple(9, 1), TupleNote::Same);
         assert_eq!(cache.note_tuple(9, 2), TupleNote::Changed);
+    }
+
+    #[test]
+    fn memory_cache_keeps_only_the_last_two_rounds() {
+        let cache = MemoryMineCache::new();
+        let entry = |visited| SeedEntry {
+            candidate: None,
+            visited,
+        };
+        cache.put(1, entry(1));
+        cache.put(2, entry(2));
+        cache.next_round();
+        // Round 1 notes key 1 only; both round-0 entries survive it.
+        cache.note_tuple(10, 1);
+        assert_eq!(cache.len(), 2);
+        cache.next_round();
+        // Key 2 went unused for a whole round and is dropped; key 1 was
+        // noted in the previous round and stays.
+        assert_eq!(cache.get(1), Some(entry(1)));
+        assert_eq!(cache.get(2), None);
+        assert_eq!(cache.note_tuple(10, 1), TupleNote::Same);
+        cache.next_round();
+        cache.next_round();
+        assert!(cache.is_empty());
+        assert_eq!(cache.note_tuple(10, 1), TupleNote::New);
     }
 }

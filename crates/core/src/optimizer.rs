@@ -14,6 +14,7 @@ use crate::artifact::DfgCache;
 use crate::candidate::Candidate;
 use crate::extract;
 use crate::graph_detect::{self, GraphConfig};
+use crate::incremental::{MemoryMineCache, MineCache};
 use crate::report::{Report, Round};
 use crate::sfx_detect;
 use crate::stage::StageTimings;
@@ -145,9 +146,9 @@ pub struct RunConfig {
     /// How much of the run the translation validator re-checks.
     pub validate: ValidateLevel,
     /// Worker threads for the graph miners' lattice search (see
-    /// [`GraphConfig::threads`]); the partitioned search merges to the
-    /// single-threaded result, so this knob never changes the output and
-    /// is excluded from [`crate::artifact::image_cache_key`].
+    /// [`GraphConfig::threads`]). Seeds are tasks merged in seed order,
+    /// so this knob never changes the output — pattern budget binding or
+    /// not — and is excluded from [`crate::artifact::image_cache_key`].
     pub mining_threads: usize,
     /// Worker threads for the front-end: per-function decode
     /// ([`gpa_cfg::decode_image_with`] via
@@ -183,14 +184,13 @@ pub struct RunConfig {
     /// report whose run overran its deadline (the serve pipeline checks
     /// this before every cache store).
     pub deadline: Option<Instant>,
-    /// Content-addressed per-seed mining cache for incremental
-    /// re-optimization (see [`crate::incremental`]). Purely an
-    /// accelerator: rounds served from it return exactly the candidate
-    /// the plain search would, and unprovable rounds fall back — so the
-    /// handle, like `mining_threads` and the tracer, is excluded from
-    /// [`crate::artifact::image_cache_key`]. Sharing one handle across
-    /// runs (batch) or requests (serve) is what makes re-submission of
-    /// a lightly edited image near-warm.
+    /// A shared seed memo (see [`GraphConfig::incremental`]). `None`
+    /// gives the run the [`Optimizer`]'s own memo, which keeps the last
+    /// two rounds' seeds; a shared handle across runs (batch) or
+    /// requests (serve) is what makes re-submission of a lightly edited
+    /// image near-warm. A memo never changes the output, so the handle —
+    /// like `mining_threads` and the tracer — is excluded from
+    /// [`crate::artifact::image_cache_key`].
     pub incremental: Option<Arc<dyn crate::incremental::MineCache>>,
 }
 
@@ -222,6 +222,9 @@ impl Default for RunConfig {
 pub struct Optimizer {
     program: Program,
     fragment_counter: usize,
+    /// The seed memo of graph detection when [`RunConfig::incremental`]
+    /// supplies no shared cache; it keeps the last two rounds' seeds.
+    memo: Arc<MemoryMineCache>,
 }
 
 impl Optimizer {
@@ -280,6 +283,7 @@ impl Optimizer {
         Optimizer {
             program,
             fragment_counter: 0,
+            memo: Arc::default(),
         }
     }
 
@@ -319,38 +323,33 @@ impl Optimizer {
                 timings.mining_ns += gpa_trace::saturating_ns(start.elapsed());
                 found
             }
-            Method::DgSpan => graph_detect::best_candidate_instrumented(
-                &self.program,
-                &GraphConfig {
-                    support: Support::Graphs,
-                    max_nodes: config.max_fragment_nodes,
-                    max_patterns: config.max_patterns,
-                    threads: config.mining_threads,
-                    front_threads: config.front_threads,
-                    tracer: config.tracer.clone(),
-                    alias: config.alias,
-                    incremental: config.incremental.clone(),
-                    ..GraphConfig::default()
-                },
-                timings,
-                cache,
-            ),
-            Method::Edgar => graph_detect::best_candidate_instrumented(
-                &self.program,
-                &GraphConfig {
-                    support: Support::Embeddings,
-                    max_nodes: config.max_fragment_nodes,
-                    max_patterns: config.max_patterns,
-                    threads: config.mining_threads,
-                    front_threads: config.front_threads,
-                    tracer: config.tracer.clone(),
-                    alias: config.alias,
-                    incremental: config.incremental.clone(),
-                    ..GraphConfig::default()
-                },
-                timings,
-                cache,
-            ),
+            Method::DgSpan | Method::Edgar => {
+                let support = if method == Method::DgSpan {
+                    Support::Graphs
+                } else {
+                    Support::Embeddings
+                };
+                let memo = config.incremental.clone().unwrap_or_else(|| {
+                    self.memo.next_round();
+                    Arc::clone(&self.memo) as Arc<dyn MineCache>
+                });
+                graph_detect::best_candidate_instrumented(
+                    &self.program,
+                    &GraphConfig {
+                        support,
+                        max_nodes: config.max_fragment_nodes,
+                        max_patterns: config.max_patterns,
+                        threads: config.mining_threads,
+                        front_threads: config.front_threads,
+                        tracer: config.tracer.clone(),
+                        alias: config.alias,
+                        incremental: Some(memo),
+                        ..GraphConfig::default()
+                    },
+                    timings,
+                    cache,
+                )
+            }
         }
     }
 
@@ -698,12 +697,15 @@ mod tests {
         assert!(c.get("detect.winner") >= 1, "{c:?}");
         assert!(c.get("detect.candidate") >= 1);
         assert!(c.get("mine.patterns_visited") > 0);
-        // The visited-pattern identity holds across a whole run.
+        // The visited-pattern identity holds across a whole run; later
+        // rounds replay unchanged seeds from the run's seed memo.
+        assert!(c.get("mine.patterns_replayed") > 0, "{c:?}");
         assert_eq!(
             c.get("mine.patterns_visited"),
             c.get("mine.expanded")
                 + c.get("mine.subtree_skipped")
                 + c.get("mine.stopped_max_nodes")
+                + c.get("mine.patterns_replayed")
         );
     }
 

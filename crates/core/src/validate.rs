@@ -65,6 +65,19 @@ pub enum ValidateLevel {
     EveryRound,
 }
 
+impl ValidateLevel {
+    /// Parses a level's command-line name: `off`, `final` or
+    /// `every-round` (case-sensitive).
+    pub fn parse(s: &str) -> Option<ValidateLevel> {
+        match s {
+            "off" => Some(ValidateLevel::Off),
+            "final" => Some(ValidateLevel::Final),
+            "every-round" => Some(ValidateLevel::EveryRound),
+            _ => None,
+        }
+    }
+}
+
 impl Default for ValidateLevel {
     /// [`ValidateLevel::EveryRound`] in debug builds, [`ValidateLevel::Off`]
     /// in release builds — mirroring the `debug_assert!` economics the

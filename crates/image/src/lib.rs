@@ -31,6 +31,8 @@
 
 #![warn(missing_docs)]
 
+pub mod pool;
+
 use std::fmt;
 
 /// What a symbol names.

@@ -34,12 +34,6 @@ pub struct PerfConfig {
     pub alias: AliasLevel,
     /// Collect a hierarchical span profile alongside the metrics.
     pub profile: bool,
-    /// Give each method batch a fresh function-granularity mining cache
-    /// ([`FuncCache`]), so the measured section's cache ratios cover all
-    /// three layers. Never changes the deterministic section — the
-    /// incremental layer reproduces the uncached search byte-for-byte
-    /// (see `gpa::incremental`).
-    pub incremental: bool,
 }
 
 impl Default for PerfConfig {
@@ -55,7 +49,6 @@ impl Default for PerfConfig {
             validate: ValidateLevel::Final,
             alias: AliasLevel::default(),
             profile: false,
-            incremental: true,
         }
     }
 }
@@ -89,8 +82,8 @@ pub struct MethodCacheStats {
     pub dfg_hits: u64,
     /// Per-function DFG-cache misses across the batch.
     pub dfg_misses: u64,
-    /// Function-granularity mining-cache counters; `None` when the run
-    /// had [`PerfConfig::incremental`] off.
+    /// Function-granularity mining-cache counters (always present for
+    /// [`run_perf`], which gives every method batch the layer).
     pub func: Option<FuncCacheStats>,
 }
 
@@ -161,7 +154,6 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
     let mut profile = config.profile.then(SpanTree::default);
     let mut jobs_used = 1;
     for &method in &config.methods {
-        let func_cache = config.incremental.then(|| Arc::new(FuncCache::default()));
         let trace_dir = profile.as_ref().map(|_| {
             std::env::temp_dir().join(format!(
                 "gpa-perf-profile-{}-{}",
@@ -188,7 +180,11 @@ pub fn run_perf(config: &PerfConfig) -> Result<PerfReport, String> {
             },
             cache_dir: None,
             trace_dir: trace_dir.clone(),
-            incremental: func_cache,
+            // A fresh function-granularity mining cache per method, so
+            // the measured section's cache ratios cover all three layers.
+            // It never changes the deterministic section (see
+            // `gpa::incremental`).
+            incremental: Some(Arc::new(FuncCache::default())),
             ..BatchConfig::default()
         };
         let inputs: Vec<BatchInput> = images

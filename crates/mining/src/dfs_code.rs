@@ -14,7 +14,7 @@
 //! cache keyed by the FNV-1a/128 content hash of the code. Minimality is
 //! a pure function of the code, so a cache can never change what is
 //! mined — each `mine_seed` worker owns its thread's cache, keeping
-//! seed-partitioned parallel runs deterministic.
+//! parallel seed-task runs deterministic.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;

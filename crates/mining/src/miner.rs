@@ -1,6 +1,7 @@
 //! The frequent-fragment search driver: DgSpan and Edgar.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gpa_trace::{NoopTracer, Tracer, Value};
@@ -253,56 +254,28 @@ pub fn mine(graphs: &[InputGraph], config: &Config) -> Vec<Frequent> {
 /// visitor's [`GrowDecision`] adds consumer-driven pruning on top (the PA
 /// driver cuts subtrees whose best possible benefit cannot beat the
 /// current best candidate — the paper's §3.5 "PA-specific pruning").
+///
+/// Seeds are grown in seed order against one budget of
+/// `config.max_patterns` visits for the whole run; when it runs out the
+/// search stops and a `mine.budget_exhausted` event records the seed it
+/// stopped in.
 pub fn mine_streaming(
     graphs: &[InputGraph],
     config: &Config,
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
 ) {
-    mine_streaming_partition(graphs, config, 0, 1, visit);
-}
-
-/// [`mine_streaming`] restricted to the seeds of one worker in a
-/// round-robin partition: worker `worker` of `stride` visits exactly the
-/// seed patterns with index `si % stride == worker` (in seed order), each
-/// grown to completion.
-///
-/// The DFS-code lattice decomposes perfectly at the seed level, so
-/// running every worker of a partition covers exactly the patterns one
-/// [`mine_streaming`] call visits — this is the building block both
-/// [`mine_parallel`] and the optimizer's threaded detection use. Each
-/// call owns a full `config.max_patterns` budget; when budgets are tight
-/// enough to exhaust, a partitioned run may therefore visit a superset of
-/// the single-threaded run.
-///
-/// # Panics
-///
-/// Panics if `stride` is zero or `worker >= stride`.
-pub fn mine_streaming_partition(
-    graphs: &[InputGraph],
-    config: &Config,
-    worker: usize,
-    stride: usize,
-    visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
-) {
-    assert!(stride > 0, "partition stride must be positive");
-    assert!(
-        worker < stride,
-        "worker {worker} out of range for stride {stride}"
-    );
-    let mut budget = config.max_patterns;
+    let budget = AtomicUsize::new(config.max_patterns);
     for (si, (tuple, embeddings)) in seed_buckets(graphs).into_iter().enumerate() {
-        if si % stride != worker {
-            continue;
-        }
-        if !mine_seed(tuple, embeddings, graphs, config, visit, &mut budget) {
-            // The pattern budget ran dry mid-seed: the rest of this
-            // worker's lattice share is silently unexplored — trace it.
+        let before = budget.load(Ordering::Relaxed);
+        if !mine_seed(tuple, embeddings, graphs, config, visit, &budget) {
+            // The pattern budget ran dry mid-seed: the rest of the
+            // lattice is unexplored — trace where the search stopped.
             config.tracer.event(
                 "mine.budget_exhausted",
                 &[
                     ("seed", Value::from(si)),
-                    ("worker", Value::from(worker)),
-                    ("stride", Value::from(stride)),
+                    ("visited", Value::from(config.max_patterns - before)),
+                    ("budget", Value::from(config.max_patterns)),
                 ],
             );
             return;
@@ -311,19 +284,24 @@ pub fn mine_streaming_partition(
 }
 
 /// Grows one seed pattern to completion under the shared gates
-/// (canonicality, embedding cap, support); returns `false` when the
-/// pattern budget is exhausted.
+/// (canonicality, embedding cap, support), spending one unit of
+/// `budget` per visited pattern; returns `false` when the budget runs
+/// out before the seed's subtree is exhausted. Another thread may lower
+/// the budget while the search runs; the search stops at the first
+/// visit that finds it empty.
 ///
-/// Public so callers that need per-seed control (e.g. a partitioned
-/// search that tracks which seed produced a result) can drive the
-/// lattice themselves from [`crate::embed::seed_buckets`].
+/// The DFS-code lattice splits cleanly at the seed level: every pattern
+/// belongs to exactly one seed's subtree. Public so callers that need
+/// per-seed control (the optimizer's seed-task search, which mines each
+/// seed as its own task) can drive the lattice themselves from
+/// [`crate::embed::seed_buckets`].
 pub fn mine_seed(
     tuple: crate::dfs_code::DfsTuple,
     mut embeddings: Vec<Embedding>,
     graphs: &[InputGraph],
     config: &Config,
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
-    budget: &mut usize,
+    budget: &AtomicUsize,
 ) -> bool {
     let tracer = &*config.tracer;
     let pattern = Pattern::root(tuple);
@@ -360,79 +338,6 @@ pub fn mine_seed(
     )
 }
 
-/// Mines in parallel across `threads` worker threads, partitioning the
-/// seed patterns round-robin and giving each worker an equal share of the
-/// pattern budget. Results are concatenated in a deterministic order
-/// (seed order, then discovery order within a seed).
-///
-/// This reproduces the shared-memory parallelization the paper's authors
-/// report for their miner (Meinl et al., "Parallel Mining for Frequent
-/// Fragments on a Shared-Memory Multiprocessor", cited as \[33\]): the
-/// DFS-code lattice decomposes perfectly at the seed level, so speedups
-/// are near-linear until seed subtree sizes skew.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn mine_parallel(graphs: &[InputGraph], config: &Config, threads: usize) -> Vec<Frequent> {
-    assert!(threads > 0, "at least one worker thread is required");
-    // Seed work items, precomputed sequentially (cheap relative to
-    // growth).
-    let seeds: Vec<(crate::dfs_code::DfsTuple, Vec<Embedding>)> =
-        seed_buckets(graphs).into_iter().collect();
-    if threads == 1 || seeds.len() <= 1 {
-        return mine(graphs, config);
-    }
-    let per_thread_budget = (config.max_patterns / threads).max(1);
-    let results: Vec<Vec<(usize, Vec<Frequent>)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for worker in 0..threads {
-            let seeds = &seeds;
-            let config = config.clone();
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<(usize, Vec<Frequent>)> = Vec::new();
-                for (si, (tuple, embeddings)) in seeds.iter().enumerate() {
-                    if si % threads != worker {
-                        continue;
-                    }
-                    let mut found = Vec::new();
-                    let mut budget = per_thread_budget;
-                    if !mine_seed(
-                        *tuple,
-                        embeddings.clone(),
-                        graphs,
-                        &config,
-                        &mut |f| {
-                            found.push(f.clone());
-                            GrowDecision::Continue
-                        },
-                        &mut budget,
-                    ) {
-                        config.tracer.event(
-                            "mine.budget_exhausted",
-                            &[
-                                ("seed", Value::from(si)),
-                                ("worker", Value::from(worker)),
-                                ("stride", Value::from(threads)),
-                            ],
-                        );
-                    }
-                    out.push((si, found));
-                }
-                out
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    // Deterministic merge by seed index.
-    let mut by_seed: Vec<(usize, Vec<Frequent>)> = results.into_iter().flatten().collect();
-    by_seed.sort_by_key(|(si, _)| *si);
-    by_seed.into_iter().flat_map(|(_, v)| v).collect()
-}
-
 /// Returns `false` when the pattern budget is exhausted (abort the run).
 #[allow(clippy::too_many_arguments)]
 fn grow(
@@ -443,12 +348,16 @@ fn grow(
     graphs: &[InputGraph],
     config: &Config,
     visit: &mut dyn FnMut(&Frequent) -> GrowDecision,
-    budget: &mut usize,
+    budget: &AtomicUsize,
 ) -> bool {
-    if *budget == 0 {
+    if budget
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+            left.checked_sub(1)
+        })
+        .is_err()
+    {
         return false;
     }
-    *budget -= 1;
     let tracer = &*config.tracer;
     // Exactly one of {subtree_skipped, stopped_max_nodes, expanded} is
     // counted per visited pattern, so the identity
@@ -812,110 +721,5 @@ mod tests {
         for w in sizes.windows(2) {
             assert!(w[0].1 >= w[1].1, "support not antimonotone: {sizes:?}");
         }
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use gpa_arm::parse::parse_listing;
-    use gpa_cfg::Item;
-    use gpa_dfg::{build_dfg_from_items, LabelMode};
-
-    fn graphs_of(listings: &[&str]) -> Vec<InputGraph> {
-        let dfgs: Vec<_> = listings
-            .iter()
-            .map(|asm| {
-                let items: Vec<Item> = parse_listing(asm)
-                    .unwrap()
-                    .into_iter()
-                    .map(Item::Insn)
-                    .collect();
-                build_dfg_from_items("bb", 0, &items, LabelMode::Exact)
-            })
-            .collect();
-        InputGraph::from_dfgs(&dfgs).0
-    }
-
-    const BLOCK: &str = "ldr r3, [r1]!\n\
-                         sub r2, r2, r3\n\
-                         add r4, r2, #4\n\
-                         ldr r3, [r1]!\n\
-                         sub r2, r2, r3\n\
-                         ldr r3, [r1]!\n\
-                         add r4, r2, #4";
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let graphs = graphs_of(&[BLOCK, BLOCK, "mov r0, #1\nadd r1, r0, #2"]);
-        let config = Config {
-            min_support: 2,
-            support: Support::Embeddings,
-            max_nodes: 6,
-            ..Config::default()
-        };
-        let sequential = mine(&graphs, &config);
-        for threads in [1usize, 2, 4] {
-            let parallel = mine_parallel(&graphs, &config, threads);
-            assert_eq!(parallel.len(), sequential.len(), "threads={threads}");
-            let key = |f: &Frequent| {
-                (
-                    format!("{:?}", f.pattern.tuples()),
-                    f.support,
-                    f.embeddings.len(),
-                )
-            };
-            let mut a: Vec<_> = sequential.iter().map(key).collect();
-            let mut b: Vec<_> = parallel.iter().map(key).collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn partition_union_matches_full_stream() {
-        let graphs = graphs_of(&[BLOCK, BLOCK, "mov r0, #1\nadd r1, r0, #2"]);
-        let config = Config {
-            min_support: 2,
-            support: Support::Embeddings,
-            max_nodes: 6,
-            ..Config::default()
-        };
-        let mut full = Vec::new();
-        mine_streaming(&graphs, &config, &mut |f| {
-            full.push(format!("{:?}", f.pattern.tuples()));
-            GrowDecision::Continue
-        });
-        for stride in [1usize, 2, 3, 5] {
-            let mut union = Vec::new();
-            for worker in 0..stride {
-                mine_streaming_partition(&graphs, &config, worker, stride, &mut |f| {
-                    union.push(format!("{:?}", f.pattern.tuples()));
-                    GrowDecision::Continue
-                });
-            }
-            let mut a = full.clone();
-            let mut b = union;
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "stride={stride}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn partition_worker_out_of_range_panics() {
-        let graphs = graphs_of(&[BLOCK]);
-        mine_streaming_partition(&graphs, &Config::default(), 2, 2, &mut |_| {
-            GrowDecision::Continue
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker thread")]
-    fn zero_threads_panics() {
-        let graphs = graphs_of(&[BLOCK]);
-        let _ = mine_parallel(&graphs, &Config::default(), 0);
     }
 }

@@ -1,8 +1,7 @@
 //! The batch driver: a bounded worker pool with deterministic merge.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use gpa::{image_cache_key, DfgCache, Method, Optimizer, Report, RunConfig, StageTimings};
@@ -134,7 +133,7 @@ fn effective_jobs(requested: usize, work_items: usize) -> usize {
 
 /// Optimizes every input and merges the per-image results in input order.
 ///
-/// Workers pull indices off a shared atomic counter, so the pool is
+/// Images fan out over [`gpa_image::pool::map`], so the pool is
 /// naturally load-balanced; because results land in their input slot, the
 /// deterministic section of the returned [`CorpusReport`]
 /// ([`CorpusReport::to_json`] with `include_metrics = false`) is
@@ -166,47 +165,26 @@ pub fn run_batch(inputs: &[BatchInput], config: &BatchConfig) -> Result<CorpusRe
     }
     let dfg_cache = DfgCache::new();
     let jobs = effective_jobs(config.jobs, inputs.len());
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ImageEntry>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
-    let worker = || loop {
-        if config.shutdown.is_raised() {
-            return;
-        }
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(input) = inputs.get(index) else {
-            return;
-        };
-        let entry = process_one(index, input, config, &report_cache, &dfg_cache);
-        *slots[index].lock().expect("result slot poisoned") = Some(entry);
-    };
-    if jobs <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
+    let entries = gpa_image::pool::map(inputs.len(), jobs, |index| {
+        // Once the flag is raised, workers stop starting new inputs.
+        (!config.shutdown.is_raised())
+            .then(|| process_one(index, &inputs[index], config, &report_cache, &dfg_cache))
+    });
     let interrupted = config.shutdown.is_raised();
-    let images = slots
+    let images = entries
         .into_iter()
         .zip(inputs)
-        .map(|(slot, input)| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .unwrap_or_else(|| {
-                    // Unclaimed slot: the shutdown flag stopped the pool
-                    // before any worker reached this input.
-                    ImageEntry {
-                        name: input.name(),
-                        key: None,
-                        outcome: Err("interrupted".into()),
-                        cached: false,
-                        timings: StageTimings::default(),
-                        counters: gpa_trace::Counters::default(),
-                    }
-                })
+        .map(|(entry, input)| {
+            // An empty entry: the shutdown flag stopped the pool before
+            // any worker started this input.
+            entry.unwrap_or_else(|| ImageEntry {
+                name: input.name(),
+                key: None,
+                outcome: Err("interrupted".into()),
+                cached: false,
+                timings: StageTimings::default(),
+                counters: gpa_trace::Counters::default(),
+            })
         })
         .collect();
     if interrupted {

@@ -143,7 +143,8 @@ fn trace_dir_writes_jsonl_and_never_changes_reports() {
             c.get("mine.patterns_visited"),
             c.get("mine.expanded")
                 + c.get("mine.subtree_skipped")
-                + c.get("mine.stopped_max_nodes"),
+                + c.get("mine.stopped_max_nodes")
+                + c.get("mine.patterns_replayed"),
             "{}",
             entry.name
         );
@@ -158,21 +159,62 @@ fn trace_dir_writes_jsonl_and_never_changes_reports() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `mining_threads` feeds the partitioned lattice search and must not
-/// change any report.
+/// The determinism matrix for the seed-task lattice search: on all eight
+/// kernels, with a pattern budget small enough to bind in every kernel
+/// (in every round of most, in some rounds of crc and dijkstra), the
+/// report, the optimized image and the charged pattern count are
+/// identical across `mining_threads` ∈ {1, 2, 8} × seed memo ∈ {the
+/// run's own, a shared `FuncCache` pre-warmed by an earlier run}.
 #[test]
-fn mining_threads_do_not_change_results() {
-    let inputs = kernel_inputs(&["search", "patricia"]);
-    let corpus_of = |mining_threads: usize| {
-        let mut config = fast_config();
-        config.jobs = 1;
-        config.run.mining_threads = mining_threads;
-        run_batch(&inputs, &config).unwrap()
-    };
-    assert_eq!(
-        corpus_of(1).to_json(false).to_string(),
-        corpus_of(4).to_json(false).to_string()
-    );
+fn mining_determinism_matrix() {
+    use std::sync::Arc;
+
+    use gpa::MineCache;
+    use gpa_pipeline::FuncCache;
+    use gpa_trace::{CounterTracer, Tracer};
+
+    for &name in &gpa_minicc::programs::BENCHMARKS {
+        let image = gpa_minicc::compile_benchmark(name, &gpa_minicc::Options::default()).unwrap();
+        let warm: Arc<dyn MineCache> = Arc::new(FuncCache::default());
+        let run = |mining_threads: usize, memo: Option<&Arc<dyn MineCache>>| {
+            let tracer = Arc::new(CounterTracer::new());
+            let config = RunConfig {
+                validate: ValidateLevel::Off,
+                max_patterns: 500,
+                max_rounds: 5,
+                mining_threads,
+                tracer: tracer.clone(),
+                incremental: memo.cloned(),
+                ..RunConfig::default()
+            };
+            let mut opt = Optimizer::from_image(&image).unwrap();
+            let report = opt.run_with(Method::Edgar, &config).unwrap();
+            let counters = tracer.counters();
+            assert!(
+                counters.get("mine.budget_exhausted") > 0,
+                "{name}: the budget must bind for the matrix to mean anything"
+            );
+            (
+                report.to_json().to_string(),
+                opt.encode().unwrap().to_bytes(),
+                counters.get("mine.patterns_visited"),
+            )
+        };
+        let expected = run(1, None);
+        run(1, Some(&warm));
+        for mining_threads in [1, 2, 8] {
+            for memo in [None, Some(&warm)] {
+                let cell = run(mining_threads, memo);
+                let label = format!(
+                    "{name}: mining_threads={mining_threads} shared memo={}",
+                    memo.is_some()
+                );
+                assert_eq!(cell.0, expected.0, "{label}: report");
+                assert!(cell.1 == expected.1, "{label}: image");
+                assert_eq!(cell.2, expected.2, "{label}: mine.patterns_visited");
+            }
+        }
+    }
 }
 
 /// The determinism matrix for the parallel front-end: the deterministic

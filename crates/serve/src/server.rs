@@ -102,13 +102,11 @@ pub struct ServeConfig {
     /// `gpa-trace/1` JSONL trace of the server's lifetime; `None`
     /// disables tracing.
     pub trace_file: Option<PathBuf>,
-    /// Share a function-granularity mining cache ([`FuncCache`]) across
-    /// requests, so a re-submitted image with a small edit re-mines only
-    /// the seeds whose hosting functions changed (on by default; the CLI
-    /// exposes `--no-incremental`). The cache never changes a report's
-    /// bytes — see `gpa::incremental` — only how much of it is re-derived.
-    pub incremental: bool,
-    /// Bound on the shared [`FuncCache`], when `incremental` is on.
+    /// Bound on the function-granularity mining cache ([`FuncCache`])
+    /// shared across requests: a re-submitted image with a small edit
+    /// re-mines only the seeds whose hosting functions changed. The
+    /// cache never changes a report's bytes — see `gpa::incremental` —
+    /// only how much of it is re-derived.
     pub func_budget: CacheBudget,
     /// Drain trigger shared with the host (signals, Shutdown frames).
     pub shutdown: ShutdownFlag,
@@ -126,7 +124,6 @@ impl Default for ServeConfig {
             dfg_entries: 1 << 16,
             recorder_capacity: DEFAULT_RECORDER_CAPACITY,
             trace_file: None,
-            incremental: true,
             func_budget: CacheBudget::bounded(1 << 15, 64 << 20),
             shutdown: ShutdownFlag::new(),
         }
@@ -163,20 +160,20 @@ impl RequestKnobs {
         for (key, value) in pairs {
             match key.as_str() {
                 "method" => {
-                    knobs.method = Some(match value.as_str() {
-                        Some("sfx") => Method::Sfx,
-                        Some("dgspan") => Method::DgSpan,
-                        Some("edgar") => Method::Edgar,
-                        _ => return Err(format!("knobs: bad method {value}")),
-                    });
+                    knobs.method = Some(
+                        value
+                            .as_str()
+                            .and_then(Method::parse)
+                            .ok_or_else(|| format!("knobs: bad method {value}"))?,
+                    );
                 }
                 "validate" => {
-                    knobs.validate = Some(match value.as_str() {
-                        Some("off") => ValidateLevel::Off,
-                        Some("final") => ValidateLevel::Final,
-                        Some("every-round") => ValidateLevel::EveryRound,
-                        _ => return Err(format!("knobs: bad validate {value}")),
-                    });
+                    knobs.validate = Some(
+                        value
+                            .as_str()
+                            .and_then(ValidateLevel::parse)
+                            .ok_or_else(|| format!("knobs: bad validate {value}"))?,
+                    );
                 }
                 "deadline_ms" => {
                     let Some(ms) = value.as_int().filter(|&v| v >= 0) else {
@@ -292,9 +289,8 @@ struct Shared {
     recorder: Arc<FlightRecorder>,
     report_cache: ReportCache,
     dfg_cache: DfgCache,
-    /// Function-granularity mining cache shared across requests; `None`
-    /// with `incremental: false`.
-    func_cache: Option<Arc<FuncCache>>,
+    /// Function-granularity mining cache shared across requests.
+    func_cache: Arc<FuncCache>,
     queue_hist: Mutex<LogHistogram>,
     run_hist: Mutex<LogHistogram>,
     e2e_hist: Mutex<LogHistogram>,
@@ -401,7 +397,7 @@ impl Shared {
             dfg_hits: self.dfg_cache.hits(),
             dfg_misses: self.dfg_cache.misses(),
             dfg_evicted: self.dfg_cache.evicted(),
-            func_cache: self.func_cache.as_deref().map(FuncCache::stats),
+            func_cache: self.func_cache.stats(),
             recorder_events: self.recorder.len(),
             recorder_dropped: self.recorder.dropped(),
             recorder_capacity: self.recorder.capacity(),
@@ -425,9 +421,8 @@ pub struct ServeSummary {
     pub report_cache: (u64, u64, u64),
     /// Shared DFG-cache statistics: (hits, misses, evicted).
     pub dfg_cache: (u64, u64, u64),
-    /// Function-granularity mining-cache statistics; `None` when the
-    /// daemon ran with incremental mode off.
-    pub func_cache: Option<gpa_pipeline::FuncCacheStats>,
+    /// Function-granularity mining-cache statistics.
+    pub func_cache: gpa_pipeline::FuncCacheStats,
 }
 
 /// A running server; dropping it without [`Server::join`] detaches the
@@ -460,9 +455,7 @@ impl Server {
             None => ReportCache::with_budget(config.cache_budget),
         };
         let dfg_cache = DfgCache::bounded(config.dfg_entries);
-        let func_cache = config
-            .incremental
-            .then(|| Arc::new(FuncCache::new(config.func_budget)));
+        let func_cache = Arc::new(FuncCache::new(config.func_budget));
         let worker_count = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -585,7 +578,7 @@ impl Server {
                 shared.dfg_cache.misses(),
                 shared.dfg_cache.evicted(),
             ),
-            func_cache: shared.func_cache.as_deref().map(FuncCache::stats),
+            func_cache: shared.func_cache.stats(),
         }
     }
 }
@@ -924,11 +917,7 @@ fn execute(
         // from `image_cache_key`: it never changes the report's bytes,
         // only how much of a re-submitted, lightly edited image is
         // re-mined from scratch.
-        incremental: shared
-            .func_cache
-            .clone()
-            .map(|cache| cache as Arc<dyn gpa::MineCache>)
-            .or_else(|| base.incremental.clone()),
+        incremental: Some(Arc::clone(&shared.func_cache) as Arc<dyn gpa::MineCache>),
         ..base.clone()
     };
     // The key ignores tracer and deadline, so warm lookups hit across

@@ -280,9 +280,8 @@ pub struct StatsSnapshot {
     pub dfg_misses: u64,
     /// DFG-cache evictions.
     pub dfg_evicted: u64,
-    /// Function-granularity mining-cache stats; `None` when the daemon
-    /// runs with `--no-incremental`.
-    pub func_cache: Option<gpa_pipeline::FuncCacheStats>,
+    /// Function-granularity mining-cache stats.
+    pub func_cache: gpa_pipeline::FuncCacheStats,
     /// Events currently held by the flight recorder.
     pub recorder_events: usize,
     /// Events the recorder has dropped to stay within capacity.
@@ -391,19 +390,18 @@ impl StatsSnapshot {
             "]}},\"dfg\":{{\"entries\":{},\"hits\":{},\"misses\":{},\"evicted\":{}}}",
             self.dfg_entries, self.dfg_hits, self.dfg_misses, self.dfg_evicted,
         );
-        if let Some(fc) = &self.func_cache {
-            let _ = write!(
-                out,
-                ",\"func\":{{\"hits\":{},\"misses\":{},\"hit_rate_pct\":{},\
-                 \"evicted\":{},\"entries\":{},\"bytes\":{}}}",
-                fc.hits,
-                fc.misses,
-                fc.hit_rate_pct(),
-                fc.evicted,
-                fc.entries,
-                fc.bytes,
-            );
-        }
+        let fc = &self.func_cache;
+        let _ = write!(
+            out,
+            ",\"func\":{{\"hits\":{},\"misses\":{},\"hit_rate_pct\":{},\
+             \"evicted\":{},\"entries\":{},\"bytes\":{}}}",
+            fc.hits,
+            fc.misses,
+            fc.hit_rate_pct(),
+            fc.evicted,
+            fc.entries,
+            fc.bytes,
+        );
         out.push('}');
 
         let _ = write!(
@@ -526,13 +524,13 @@ mod tests {
             dfg_hits: 30,
             dfg_misses: 12,
             dfg_evicted: 0,
-            func_cache: Some(gpa_pipeline::FuncCacheStats {
+            func_cache: gpa_pipeline::FuncCacheStats {
                 hits: 9,
                 misses: 3,
                 evicted: 0,
                 entries: 12,
                 bytes: 1024,
-            }),
+            },
             recorder_events: 17,
             recorder_dropped: 0,
             recorder_capacity: 4096,
@@ -567,17 +565,6 @@ mod tests {
         assert_eq!(int(func, "hit_rate_pct"), 75);
         // Identical state → identical bytes.
         assert_eq!(json, sample_snapshot().to_json_string());
-    }
-
-    #[test]
-    fn func_cache_section_is_absent_without_the_incremental_layer() {
-        let mut snap = sample_snapshot();
-        snap.func_cache = None;
-        let doc = gpa::json::Json::parse(&snap.to_json_string()).unwrap();
-        assert!(doc.get("cache").unwrap().get("func").is_none());
-        // The rest of the document (recorder follows the cache object)
-        // still parses into place.
-        assert!(doc.get("recorder").is_some());
     }
 
     #[test]
