@@ -7,9 +7,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use gpa_bench::compile;
 use gpa_dfg::{build_all, LabelMode};
+use gpa_mining::dfs_code::Pattern;
+use gpa_mining::embed::extensions;
 use gpa_mining::graph::{GEdge, InputGraph};
 use gpa_mining::miner::{mine, Config, Support};
-use gpa_trace::Tracer;
 
 fn graphs_for(name: &str) -> Vec<InputGraph> {
     let image = compile(name, true);
@@ -145,38 +146,45 @@ fn bench_dense_bucket(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_canonical_cache(c: &mut Criterion) {
-    // The canonicality cache memoizes `Pattern::is_min` by content hash;
-    // repeated mining rounds over the same corpus (the optimizer's normal
-    // shape) re-check mostly-identical patterns. Report the observed
-    // hit rate once, then measure the re-mining time the cache serves.
+fn bench_is_min(c: &mut Criterion) {
+    // The canonicality test runs once per lattice child. Time it over the
+    // codes the miner reports on crc (all canonical: the walk runs every
+    // prefix) and over those codes' non-canonical children (the rejects
+    // that `mine.prune_non_canonical` counts).
     let graphs = graphs_for("crc");
-    let config = Config {
-        min_support: 2,
-        support: Support::Embeddings,
-        max_nodes: 8,
-        max_patterns: 30_000,
-        ..Config::default()
-    };
-    let tracer = std::sync::Arc::new(gpa_trace::CounterTracer::new());
-    let traced = Config {
-        tracer: tracer.clone(),
-        ..config.clone()
-    };
-    // Two rounds: the second runs against a warm cache, like round 2 of
-    // the optimizer does.
-    let _ = mine(&graphs, &traced);
-    let _ = mine(&graphs, &traced);
-    let counters = tracer.counters();
-    let checks = counters.get("mine.canon_checks");
-    let hits = counters.get("mine.canon_cache_hit");
-    eprintln!(
-        "canonical cache: {hits}/{checks} hits ({:.1}%)",
-        100.0 * hits as f64 / checks.max(1) as f64
+    let reported = mine(
+        &graphs,
+        &Config {
+            min_support: 2,
+            support: Support::Embeddings,
+            max_nodes: 8,
+            max_patterns: 30_000,
+            ..Config::default()
+        },
     );
-    let mut group = c.benchmark_group("mining_canonical_cache");
+    let accepts: Vec<Pattern> = reported.iter().map(|f| f.pattern.clone()).collect();
+    let rejects: Vec<Pattern> = reported
+        .iter()
+        .flat_map(|f| {
+            extensions(&f.pattern, &graphs, &f.embeddings)
+                .into_keys()
+                .map(|tuple| f.pattern.extend(tuple))
+                .filter(|child| !child.is_min())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    eprintln!(
+        "is_min: {} canonical codes, {} non-canonical children",
+        accepts.len(),
+        rejects.len()
+    );
+    let mut group = c.benchmark_group("mining_is_min");
     group.sample_size(10);
-    group.bench_function("warm_rerun", |b| b.iter(|| mine(&graphs, &config)));
+    for (name, codes) in [("accept", &accepts), ("reject", &rejects)] {
+        group.bench_with_input(BenchmarkId::from_parameter(name), codes, |b, codes| {
+            b.iter(|| codes.iter().filter(|p| p.is_min()).count());
+        });
+    }
     group.finish();
 }
 
@@ -186,6 +194,6 @@ criterion_group!(
     bench_fragment_cap,
     bench_parallel,
     bench_dense_bucket,
-    bench_canonical_cache
+    bench_is_min
 );
 criterion_main!(benches);

@@ -1419,8 +1419,7 @@ impl TraceIssue {
 /// the schema header, the last the counter summary; every event name's
 /// line count must equal its recorded counter; and the counter
 /// identities (`visited == expanded + subtree_skipped +
-/// stopped_max_nodes + patterns_replayed`, `canon_checks ==
-/// canon_cache_hit + canon_cache_miss`, and
+/// stopped_max_nodes + patterns_replayed` and
 /// `absint.mem_pairs_examined == mem_pairs_disjoint + mem_pairs_kept`)
 /// must hold. Traces written by `gpa serve` must additionally balance
 /// the request-accounting identity `serve.accepted == serve.completed +
@@ -1511,14 +1510,6 @@ fn check_one_trace(path: &str) -> Result<(), TraceIssue> {
         return Err(TraceIssue::Invariant(format!(
             "{path}:{summary_line}: mine.patterns_visited is {visited}, but expanded + \
              subtree_skipped + stopped_max_nodes + patterns_replayed is {accounted}"
-        )));
-    }
-    let canon_checks = counter("mine.canon_checks");
-    let canon_accounted = counter("mine.canon_cache_hit") + counter("mine.canon_cache_miss");
-    if canon_checks != canon_accounted {
-        return Err(TraceIssue::Invariant(format!(
-            "{path}:{summary_line}: mine.canon_checks is {canon_checks}, \
-             but canon_cache_hit + canon_cache_miss is {canon_accounted}"
         )));
     }
     let mem_examined = counter("absint.mem_pairs_examined");

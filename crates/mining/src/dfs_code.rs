@@ -3,27 +3,19 @@
 //!
 //! A pattern is a list of [`DfsTuple`]s, each describing one edge in the
 //! order it was attached during the depth-first construction. The
-//! *minimal* code over all possible constructions is the canonical form;
-//! [`is_min`](Pattern::is_min) tests minimality by re-running the
-//! extension engine against the pattern itself and checking that the
-//! stored code never exceeds the smallest realizable tuple.
+//! *minimal* code over all possible constructions is the canonical form.
 //!
-//! That re-run is a full second mining pass over the pattern's own graph
-//! and dominates canonical-form pruning cost, so the miner goes through
-//! [`is_min_cached`](Pattern::is_min_cached): a per-thread direct-mapped
-//! cache keyed by the FNV-1a/128 content hash of the code. Minimality is
-//! a pure function of the code, so a cache can never change what is
-//! mined — each `mine_seed` worker owns its thread's cache, keeping
-//! parallel seed-task runs deterministic.
+//! [`is_min`](Pattern::is_min) tests minimality the way gSpan does: it
+//! replays the code against the pattern's own graph and, at every
+//! prefix, looks for a rightmost-path extension smaller than the stored
+//! tuple. It first rejects codes whose first tuple is beaten by some
+//! edge's seed orientation (one pass over the edges), then walks the
+//! prefixes keeping only the embeddings that realize the stored tuple,
+//! and stops at the first smaller extension. Minimality is a pure
+//! function of the code and the test allocates nothing shared, so any
+//! number of mining threads may call it concurrently.
 
-use std::cell::RefCell;
 use std::cmp::Ordering;
-
-use gpa_dfg::hash::Fnv128;
-use gpa_trace::Tracer;
-
-use crate::embed::{extensions, seed_buckets, Embedding};
-use crate::graph::{GEdge, InputGraph};
 
 /// One edge of a DFS code.
 ///
@@ -196,139 +188,196 @@ impl Pattern {
         child
     }
 
-    /// Materializes the pattern as an [`InputGraph`] (DFS indices become
-    /// node indices).
-    pub fn to_input_graph(&self) -> InputGraph {
-        let edges = self
-            .tuples
-            .iter()
-            .map(|t| {
-                let (from, to) = if t.outgoing {
-                    (t.from, t.to)
-                } else {
-                    (t.to, t.from)
-                };
-                GEdge {
-                    from: from as u32,
-                    to: to as u32,
-                    label: t.edge_label,
-                }
-            })
-            .collect();
-        InputGraph::new(self.node_labels.clone(), edges)
-    }
-
     /// Whether this code is the canonical (minimal) DFS code of its graph.
     ///
-    /// Runs the extension engine against the pattern's own graph: at every
-    /// prefix the stored tuple must equal the smallest realizable
-    /// extension tuple.
+    /// At every prefix the stored tuple must equal the smallest
+    /// rightmost-path extension over the prefix's embeddings in the
+    /// pattern's own graph. Only that minimum matters, so the walk keeps
+    /// just the embeddings that realize the stored tuple and returns at
+    /// the first extension below it.
     pub fn is_min(&self) -> bool {
-        let graph = self.to_input_graph();
-        let graphs = std::slice::from_ref(&graph);
-        // Minimal first tuple over all seeds of the pattern graph.
-        let seeds = seed_buckets(graphs);
-        let (min_tuple, embeds) = seeds
+        let first = self.tuples[0];
+        // Every edge, entered from either endpoint, is a first tuple some
+        // construction could start with.
+        if self
+            .tuples
             .iter()
-            .next()
-            .map(|(t, e)| (*t, e.clone()))
-            .expect("patterns have at least one edge");
-        if tuple_cmp(&min_tuple, &self.tuples[0]) == Ordering::Less {
+            .any(|t| seed_orientations(t).iter().any(|(s, _)| *s < first))
+        {
             return false;
         }
-        debug_assert_eq!(min_tuple, self.tuples[0], "stored code must be realizable");
-        let mut current = Pattern::root(min_tuple);
-        let mut embeddings: Vec<Embedding> = embeds;
-        for k in 1..self.tuples.len() {
-            let exts = extensions(&current, graphs, &embeddings);
-            let Some((&min_tuple, _)) = exts.iter().next() else {
-                unreachable!("prefix of a realizable code is extensible");
-            };
-            match tuple_cmp(&min_tuple, &self.tuples[k]) {
-                Ordering::Less => return false,
-                Ordering::Equal => {}
-                Ordering::Greater => {
-                    unreachable!("stored code must be realizable in its own graph")
+        let adjacency = Adjacency::new(self);
+        // Embeddings of the current prefix, flattened: `width` pattern
+        // nodes per embedding, indexed by DFS index of the prefix.
+        let mut current: Vec<u16> = Vec::new();
+        for t in &self.tuples {
+            for (seed, map) in seed_orientations(t) {
+                if seed == first {
+                    current.extend_from_slice(&map);
                 }
             }
-            embeddings = exts
-                .into_iter()
-                .next()
-                .map(|(_, e)| e)
-                .expect("checked above");
-            current = current.extend(min_tuple);
+        }
+        let mut next: Vec<u16> = Vec::new();
+        let mut width = 2usize;
+        let mut rm_path: Vec<u16> = vec![0, 1];
+        let mut backward: Vec<u16> = Vec::new();
+        for (k, &target) in self.tuples.iter().enumerate().skip(1) {
+            let rightmost = *rm_path.last().expect("rightmost path is never empty");
+            // Extensions that compare above `target` never matter: a
+            // backward target is beaten only by backward arcs to an
+            // earlier or equal node (forward tuples all order after it),
+            // and a forward target from `u` only by backward arcs or by
+            // forward arcs from `u` or deeper on the rightmost path.
+            backward.clear();
+            backward.extend(rm_path[..rm_path.len() - 1].iter().copied().filter(|&v| {
+                (target.is_forward() || v <= target.to)
+                    && !self.tuples[..k].iter().any(|t| {
+                        (t.from, t.to) == (rightmost, v) || (t.from, t.to) == (v, rightmost)
+                    })
+            }));
+            // Where a forward target attaches on the rightmost path.
+            let attach = target.is_forward().then(|| {
+                rm_path
+                    .iter()
+                    .position(|&u| u == target.from)
+                    .expect("forward tuples attach on the rightmost path")
+            });
+            let forward_from = attach.map_or(&[][..], |cut| &rm_path[cut..]);
+            next.clear();
+            for map in current.chunks_exact(width) {
+                let rm_node = map[rightmost as usize];
+                for &v in &backward {
+                    for arc in adjacency.arcs(rm_node) {
+                        if arc.to != map[v as usize] {
+                            continue;
+                        }
+                        let tuple = DfsTuple {
+                            from: rightmost,
+                            to: v,
+                            from_label: self.node_labels[rightmost as usize],
+                            to_label: self.node_labels[v as usize],
+                            outgoing: arc.leaves,
+                            edge_label: arc.label,
+                        };
+                        match tuple.cmp(&target) {
+                            Ordering::Less => return false,
+                            Ordering::Equal => next.extend_from_slice(map),
+                            Ordering::Greater => {}
+                        }
+                    }
+                }
+                for &u in forward_from {
+                    for arc in adjacency.arcs(map[u as usize]) {
+                        if map.contains(&arc.to) {
+                            continue;
+                        }
+                        let tuple = DfsTuple {
+                            from: u,
+                            to: width as u16,
+                            from_label: self.node_labels[u as usize],
+                            to_label: self.node_labels[arc.to as usize],
+                            outgoing: arc.leaves,
+                            edge_label: arc.label,
+                        };
+                        match tuple.cmp(&target) {
+                            Ordering::Less => return false,
+                            Ordering::Equal => {
+                                next.extend_from_slice(map);
+                                next.push(arc.to);
+                            }
+                            Ordering::Greater => {}
+                        }
+                    }
+                }
+            }
+            // The identity embedding realizes every stored tuple. Since a
+            // pattern graph joins each node pair at most once, extending
+            // distinct embeddings yields distinct ones, so no dedup is
+            // needed.
+            debug_assert!(!next.is_empty(), "stored code must be realizable");
+            std::mem::swap(&mut current, &mut next);
+            if let Some(cut) = attach {
+                rm_path.truncate(cut + 1);
+                rm_path.push(target.to);
+                width += 1;
+            }
         }
         true
     }
+}
 
-    /// FNV-1a/128 content hash of the DFS code. Two patterns share a hash
-    /// iff they share their tuple list (node labels are determined by the
-    /// tuples), up to the usual negligible 128-bit collision odds — the
-    /// same trade the pipeline's content-addressed caches already make.
-    pub fn content_hash(&self) -> u128 {
-        let mut h = Fnv128::new();
-        h.write(b"gpa-dfs-code/1");
-        h.write_u64(self.tuples.len() as u64);
-        for t in &self.tuples {
-            h.write_u64((u64::from(t.from) << 32) | u64::from(t.to));
-            h.write_u64((u64::from(t.from_label) << 32) | u64::from(t.to_label));
-            h.write_u64((u64::from(t.outgoing) << 8) | u64::from(t.edge_label));
+/// The tuple's edge as a first tuple, entered from either endpoint, each
+/// with its two-node embedding in the pattern graph.
+fn seed_orientations(t: &DfsTuple) -> [(DfsTuple, [u16; 2]); 2] {
+    let seed = |from_label, to_label, outgoing| DfsTuple {
+        from: 0,
+        to: 1,
+        from_label,
+        to_label,
+        outgoing,
+        edge_label: t.edge_label,
+    };
+    [
+        (seed(t.from_label, t.to_label, t.outgoing), [t.from, t.to]),
+        (seed(t.to_label, t.from_label, !t.outgoing), [t.to, t.from]),
+    ]
+}
+
+/// One arc end seen from a pattern node.
+#[derive(Clone, Copy, Default)]
+struct ArcEnd {
+    /// The neighbouring pattern node.
+    to: u16,
+    /// Whether the arc leaves the node (`node → to`).
+    leaves: bool,
+    /// Edge label.
+    label: u8,
+}
+
+/// A pattern graph's arcs grouped by node (both ends of every tuple).
+struct Adjacency {
+    start: Vec<u32>,
+    arcs: Vec<ArcEnd>,
+}
+
+impl Adjacency {
+    fn new(pattern: &Pattern) -> Adjacency {
+        let mut start = vec![0u32; pattern.node_count() + 1];
+        for t in &pattern.tuples {
+            start[t.from as usize + 1] += 1;
+            start[t.to as usize + 1] += 1;
         }
-        h.finish()
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut fill = start.clone();
+        let mut arcs = vec![ArcEnd::default(); 2 * pattern.tuples.len()];
+        for t in &pattern.tuples {
+            for (node, to, leaves) in [(t.from, t.to, t.outgoing), (t.to, t.from, !t.outgoing)] {
+                let slot = &mut fill[node as usize];
+                arcs[*slot as usize] = ArcEnd {
+                    to,
+                    leaves,
+                    label: t.edge_label,
+                };
+                *slot += 1;
+            }
+        }
+        Adjacency { start, arcs }
     }
 
-    /// [`is_min`](Pattern::is_min) through the calling thread's
-    /// canonicality cache, with `mine.canon_*` telemetry.
-    ///
-    /// One lattice walk visits each candidate code at most once, so hits
-    /// come from *across* walks: repeated optimizer rounds and identical
-    /// blocks re-check the same codes over and over.
-    pub fn is_min_cached(&self, tracer: &dyn Tracer) -> bool {
-        tracer.count("mine.canon_checks", 1);
-        let key = self.content_hash();
-        if let Some(cached) = canon_cache_probe(key) {
-            tracer.count("mine.canon_cache_hit", 1);
-            return cached;
-        }
-        tracer.count("mine.canon_cache_miss", 1);
-        let result = self.is_min();
-        canon_cache_store(key, result);
-        result
+    fn arcs(&self, node: u16) -> &[ArcEnd] {
+        &self.arcs[self.start[node as usize] as usize..self.start[node as usize + 1] as usize]
     }
-}
-
-/// Slot count of the per-thread canonicality cache (direct-mapped; a
-/// slot conflict evicts, never corrupts — the full key is compared).
-const CANON_CACHE_SLOTS: usize = 1 << 14;
-
-thread_local! {
-    static CANON_CACHE: RefCell<Vec<Option<(u128, bool)>>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-fn canon_cache_probe(key: u128) -> Option<bool> {
-    CANON_CACHE.with(|cache| {
-        let cache = cache.borrow();
-        match cache.get((key as usize) & (CANON_CACHE_SLOTS - 1)) {
-            Some(&Some((k, v))) if k == key => Some(v),
-            _ => None,
-        }
-    })
-}
-
-fn canon_cache_store(key: u128, value: bool) {
-    CANON_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.is_empty() {
-            cache.resize(CANON_CACHE_SLOTS, None);
-        }
-        cache[(key as usize) & (CANON_CACHE_SLOTS - 1)] = Some((key, value));
-    });
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::embed::{extensions, seed_buckets, Embedding};
+    use crate::graph::{GEdge, InputGraph};
 
     fn t(from: u16, to: u16, fl: u32, tl: u32, out: bool) -> DfsTuple {
         DfsTuple {
@@ -472,45 +521,168 @@ mod tests {
         assert!(!outgoing_first.is_min());
     }
 
-    #[test]
-    fn content_hash_separates_codes() {
-        let a = Pattern::root(t(0, 1, 0, 1, true));
-        let b = Pattern::root(t(0, 1, 0, 1, false));
-        let c = a.extend(t(1, 2, 1, 2, true));
-        assert_ne!(a.content_hash(), b.content_hash());
-        assert_ne!(a.content_hash(), c.content_hash());
-        assert_eq!(
-            a.content_hash(),
-            Pattern::root(t(0, 1, 0, 1, true)).content_hash()
-        );
+    /// The canonicality test `is_min` replaced, kept as an oracle: it
+    /// re-mines the pattern's own graph with the full extension engine
+    /// and compares the smallest extension at every prefix.
+    fn reference_is_min(p: &Pattern) -> bool {
+        let graph = own_graph(p);
+        let graphs = std::slice::from_ref(&graph);
+        let seeds = seed_buckets(graphs);
+        let (min_tuple, embeds) = seeds
+            .iter()
+            .next()
+            .map(|(t, e)| (*t, e.clone()))
+            .expect("patterns have at least one edge");
+        if tuple_cmp(&min_tuple, &p.tuples[0]) == Ordering::Less {
+            return false;
+        }
+        assert_eq!(min_tuple, p.tuples[0], "stored code must be realizable");
+        let mut current = Pattern::root(min_tuple);
+        let mut embeddings: Vec<Embedding> = embeds;
+        for k in 1..p.tuples.len() {
+            let exts = extensions(&current, graphs, &embeddings);
+            let (&min_tuple, _) = exts.iter().next().expect("prefix is extensible");
+            match tuple_cmp(&min_tuple, &p.tuples[k]) {
+                Ordering::Less => return false,
+                Ordering::Equal => {}
+                Ordering::Greater => panic!("stored code must be realizable"),
+            }
+            embeddings = exts.into_iter().next().map(|(_, e)| e).expect("checked");
+            current = current.extend(min_tuple);
+        }
+        true
     }
 
-    #[test]
-    fn cached_canonicality_agrees_and_counts_hits() {
-        use gpa_trace::CounterTracer;
-        let tracer = CounterTracer::new();
-        let good = Pattern::root(t(0, 1, 0, 1, true));
-        let bad = Pattern::root(DfsTuple {
-            from: 0,
-            to: 1,
-            from_label: 1,
-            to_label: 0,
-            outgoing: false,
-            edge_label: 1,
-        });
-        for _ in 0..3 {
-            assert_eq!(good.is_min_cached(&tracer), good.is_min());
-            assert_eq!(bad.is_min_cached(&tracer), bad.is_min());
+    /// The pattern as an input graph (DFS indices become node indices).
+    fn own_graph(p: &Pattern) -> InputGraph {
+        let edges = p
+            .tuples
+            .iter()
+            .map(|t| {
+                let (from, to) = if t.outgoing {
+                    (t.from, t.to)
+                } else {
+                    (t.to, t.from)
+                };
+                GEdge {
+                    from: from as u32,
+                    to: to as u32,
+                    label: t.edge_label,
+                }
+            })
+            .collect();
+        InputGraph::new(p.node_labels.clone(), edges)
+    }
+
+    /// gSpan's canonical code of the pattern's graph, built greedily: the
+    /// smallest seed, then the smallest extension until every edge is in.
+    fn canonical_code(p: &Pattern) -> Pattern {
+        let graph = own_graph(p);
+        let graphs = std::slice::from_ref(&graph);
+        let (tuple, mut embeddings) = seed_buckets(graphs).into_iter().next().unwrap();
+        let mut code = Pattern::root(tuple);
+        while code.edge_count() < p.edge_count() {
+            let (tuple, grown) = extensions(&code, graphs, &embeddings)
+                .into_iter()
+                .next()
+                .expect("a connected graph extends until every edge is in");
+            code = code.extend(tuple);
+            embeddings = grown;
         }
-        let c = tracer.counters();
-        assert_eq!(c.get("mine.canon_checks"), 6);
-        // Both codes may have been probed before this test on the same
-        // thread (caches are thread-local and tests share threads), so
-        // only the identity is exact; hits are at least the re-checks.
-        assert_eq!(
-            c.get("mine.canon_checks"),
-            c.get("mine.canon_cache_hit") + c.get("mine.canon_cache_miss")
-        );
-        assert!(c.get("mine.canon_cache_hit") >= 4);
+        code
+    }
+
+    /// One graph that random codes are grown over: a random small DAG, or
+    /// a one-label symmetric shape (star, chain, triangles) with either
+    /// arc direction.
+    fn arb_host() -> impl Strategy<Value = InputGraph> {
+        let dag = (2usize..=8, 1u32..=3).prop_flat_map(|(n, labels)| {
+            (
+                proptest::collection::vec(0..labels, n),
+                proptest::collection::vec((0..n, 0..n, 1u8..3), 1..(n * 3)),
+            )
+                .prop_map(|(labels, raw)| {
+                    let mut edges: Vec<GEdge> = Vec::new();
+                    for (a, b, label) in raw {
+                        let (from, to) = (a.min(b) as u32, a.max(b) as u32);
+                        if from != to && !edges.iter().any(|e| (e.from, e.to) == (from, to)) {
+                            edges.push(GEdge { from, to, label });
+                        }
+                    }
+                    InputGraph::new(labels, edges)
+                })
+        });
+        let symmetric = (0u8..5, 3usize..=8, any::<bool>()).prop_map(|(shape, n, flip)| {
+            let pairs: Vec<(usize, usize)> = match shape {
+                // Star: a hub joined to every leaf.
+                0 => (1..n).map(|leaf| (0, leaf)).collect(),
+                // Chain.
+                1 => (1..n).map(|i| (i - 1, i)).collect(),
+                // Chain with alternating arc directions.
+                2 => (1..n)
+                    .map(|i| if i % 2 == 0 { (i - 1, i) } else { (i, i - 1) })
+                    .collect(),
+                // A fan of triangles sharing node 0.
+                3 => (1..n).flat_map(|i| [(0, i), (i - 1, i)]).skip(1).collect(),
+                // Directed cycle (every node one in-arc, one out-arc).
+                _ => (0..n).map(|i| (i, (i + 1) % n)).collect(),
+            };
+            let edges = pairs
+                .into_iter()
+                .map(|(a, b)| {
+                    let (from, to) = if flip { (b, a) } else { (a, b) };
+                    GEdge {
+                        from: from as u32,
+                        to: to as u32,
+                        label: 1,
+                    }
+                })
+                .collect();
+            InputGraph::new(vec![0; n], edges)
+        });
+        prop_oneof![dag, symmetric]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Grows a random code by rightmost-path extensions over a host
+        /// graph and checks every prefix: the min-only walk agrees with
+        /// the full re-mine, and accepts exactly the greedy canonical code.
+        #[test]
+        fn min_walk_matches_reference(
+            host in arb_host(),
+            picks in proptest::collection::vec(any::<u32>(), 1..16),
+        ) {
+            let graphs = std::slice::from_ref(&host);
+            let seeds = seed_buckets(graphs);
+            if seeds.is_empty() {
+                continue;
+            }
+            let pick = |n: usize, r: u32| (r as usize) % n;
+            let first = pick(seeds.len(), picks[0]);
+            let (tuple, mut embeddings) = seeds.into_iter().nth(first).expect("in range");
+            let mut code = Pattern::root(tuple);
+            let mut steps = picks[1..].iter();
+            loop {
+                let canonical = canonical_code(&code);
+                prop_assert!(canonical.is_min() && reference_is_min(&canonical));
+                prop_assert_eq!(code.is_min(), reference_is_min(&code), "{:?}", code);
+                prop_assert_eq!(code.is_min(), code == canonical, "{:?}", code);
+                let Some(&r) = steps.next() else {
+                    break;
+                };
+                let exts = extensions(&code, graphs, &embeddings);
+                if exts.is_empty() {
+                    break;
+                }
+                // Every third step takes the smallest extension, which
+                // keeps long canonical prefixes common.
+                let choice = if r % 3 == 0 { 0 } else { pick(exts.len(), r / 3) };
+                let (tuple, grown) = exts.into_iter().nth(choice).expect("in range");
+                code = code.extend(tuple);
+                embeddings = grown;
+            }
+        }
     }
 }

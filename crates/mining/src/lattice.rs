@@ -8,8 +8,6 @@
 
 use std::fmt::Write;
 
-use gpa_trace::NoopTracer;
-
 use crate::dfs_code::Pattern;
 use crate::embed::{extensions, seed_buckets, Embedding};
 use crate::graph::{InputGraph, LabelInterner};
@@ -64,7 +62,7 @@ pub fn render_lattice(
     let _ = writeln!(out, "*  (empty pattern)");
     for (tuple, embeddings) in seed_buckets(graphs) {
         let pattern = Pattern::root(tuple);
-        if !pattern.is_min_cached(&NoopTracer) {
+        if !pattern.is_min() {
             continue;
         }
         render_node(
@@ -114,7 +112,7 @@ fn render_node(
     let mut shown = 0usize;
     for (tuple, child_embeddings) in extensions(pattern, graphs, embeddings) {
         let child = pattern.extend(tuple);
-        if !child.is_min_cached(&NoopTracer) {
+        if !child.is_min() {
             continue;
         }
         if shown >= options.max_children {

@@ -305,7 +305,8 @@ pub fn mine_seed(
 ) -> bool {
     let tracer = &*config.tracer;
     let pattern = Pattern::root(tuple);
-    if !pattern.is_min_cached(tracer) {
+    tracer.count("mine.canon_checks", 1);
+    if !pattern.is_min() {
         tracer.count("mine.prune_non_canonical", 1);
         return true;
     }
@@ -383,7 +384,8 @@ fn grow(
     for (tuple, mut child_embeddings) in extensions(&pattern, graphs, embeddings) {
         tracer.count("mine.extensions_generated", 1);
         let child = pattern.extend(tuple);
-        if !child.is_min_cached(tracer) {
+        tracer.count("mine.canon_checks", 1);
+        if !child.is_min() {
             tracer.count("mine.prune_non_canonical", 1);
             continue;
         }

@@ -164,6 +164,11 @@ impl std::error::Error for FrameError {}
 /// Writes one frame. Fails with `InvalidInput` if the payload exceeds
 /// [`MAX_FRAME_LEN`] (a frame that no peer would accept).
 ///
+/// Header and payload go out in a single `write_all`: on an unbuffered
+/// `TcpStream`, a separate header write followed by the payload write
+/// makes Nagle's algorithm hold the payload until the peer's delayed
+/// ACK for the header arrives (~40 ms on Linux loopback).
+///
 /// # Errors
 ///
 /// Propagates transport write failures.
@@ -174,13 +179,13 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
             format!("payload of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
         ));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = kind.min_version();
-    header[5] = kind.to_byte();
-    header[6..].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC);
+    frame.push(kind.min_version());
+    frame.push(kind.to_byte());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -292,6 +297,39 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_goes_out_in_one_write() {
+        for payload in [&b""[..], b"x", &[7u8; 70_000]] {
+            let mut sink = CountingWriter::default();
+            write_frame(&mut sink, FrameKind::Response, payload).unwrap();
+            assert_eq!(sink.writes, 1, "payload of {} bytes", payload.len());
+            assert_eq!(sink.bytes.len(), HEADER_LEN + payload.len());
+            let mut cursor = &sink.bytes[..];
+            let (kind, body) = read_frame(&mut cursor).unwrap();
+            assert_eq!(kind, FrameKind::Response);
+            assert_eq!(body, payload);
+        }
+    }
 
     #[test]
     fn frame_roundtrip() {

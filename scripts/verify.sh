@@ -12,7 +12,7 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Criterion smoke: the bitset hot-path benches (collision graph + exact
-# MIS, mining with the canonicality cache) run once in --test mode, so
+# MIS, mining and the canonicality test) run once in --test mode, so
 # the kernels stay exercised without a full measurement run.
 cargo bench -q -p gpa-bench --bench mis -- --test
 cargo bench -q -p gpa-bench --bench mining -- --test
